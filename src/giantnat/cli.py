@@ -13,6 +13,7 @@ stderr and exits nonzero.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from itertools import islice
@@ -211,31 +212,29 @@ def _bench_bitsize45_p(rep: NatRep) -> str:
     return f"bitsize={TREE.to_int(bitsize_fast(numtheory.perfect45()))}"
 
 
-# (line name, runner, representations able to run it)
-_BENCHES: list[tuple[str, Callable[[NatRep], str], tuple[str, ...]]] = [
-    ("ack-3-7", _bench_ack, ("t", "b", "n")),
-    ("exp2-exp2-14", _bench_exp2, ("t", "b", "n")),
-    ("sparse-set", _bench_sparse, ("t", "b", "n")),
-    ("bitsize45:mersenne45", _bench_bitsize45_m, ("t",)),
-    ("bitsize45:perfect45", _bench_bitsize45_p, ("t",)),
-    ("primes-100", _bench_primes, ("t", "b", "n")),
-    ("mersenne-tests", _bench_mersenne, ("t", "b", "n")),
-    ("syracuse:lengths-2000", _bench_syr_lengths, ("t", "b", "n")),
-    ("syracuse:compress-100", _bench_syr_compress, ("t", "b", "n")),
-    ("syracuse:compress-twice-20", _bench_syr_compress_twice, ("t",)),
+_BENCHES: list[tuple[str, Callable[[NatRep], str]]] = [
+    ("ack-3-7", _bench_ack),
+    ("exp2-exp2-14", _bench_exp2),
+    ("sparse-set", _bench_sparse),
+    ("bitsize45:mersenne45", _bench_bitsize45_m),
+    ("bitsize45:perfect45", _bench_bitsize45_p),
+    ("primes-100", _bench_primes),
+    ("mersenne-tests", _bench_mersenne),
+    ("syracuse:lengths-2000", _bench_syr_lengths),
+    ("syracuse:compress-100", _bench_syr_compress),
+    ("syracuse:compress-twice-20", _bench_syr_compress_twice),
 ]
 
-_SUITE_PREFIX = {
-    "ack": ("ack-",),
-    "exp2": ("exp2-",),
-    "sparse": ("sparse-",),
-    "bitsize45": ("bitsize45:",),
-    "primes": ("primes-",),
-    "mersenne": ("mersenne-",),
-    "syracuse": ("syracuse:",),
-}
+# lines only trees can run: the others would expand compressed giants
+_TREE_ONLY = {"bitsize45:mersenne45", "bitsize45:perfect45", "syracuse:compress-twice-20"}
 
-BENCH_SUITES = ("ack", "exp2", "sparse", "bitsize45", "primes", "mersenne", "syracuse", "all")
+
+def _suite_of(name: str) -> str:
+    # a line belongs to the suite named before its first '-' or ':'
+    return re.split("[-:]", name, maxsplit=1)[0]
+
+
+BENCH_SUITES = (*dict.fromkeys(_suite_of(name) for name, _ in _BENCHES), "all")
 
 
 def bench_lines(suite: str, rep_letter: str) -> Iterable[str]:
@@ -244,12 +243,11 @@ def bench_lines(suite: str, rep_letter: str) -> Iterable[str]:
     Combinations a representation cannot run (expanding compressed giants)
     yield ``?`` placeholders instead of timings.
     """
-    prefixes = None if suite == "all" else _SUITE_PREFIX[suite]
     rep = _LETTER_REP[rep_letter]
-    for name, runner, able in _BENCHES:
-        if prefixes is not None and not name.startswith(prefixes):
+    for name, runner in _BENCHES:
+        if suite != "all" and _suite_of(name) != suite:
             continue
-        if rep_letter not in able:
+        if rep_letter != "t" and name in _TREE_ONLY:
             yield f"{name} {rep_letter} ? ?"
             continue
         start = time.perf_counter()
@@ -272,6 +270,8 @@ def _cmd_nsyr(args) -> int:
 
 
 def _cmd_primes(args) -> int:
+    if args.k < 0:
+        raise DomainError(f"primes needs a nonnegative count, got {args.k}")
     rep = _LETTER_REP[args.rep]
     firsts = islice(numtheory.primes(rep), args.k)
     print(",".join(str(rep.to_int(p)) for p in firsts))

@@ -8,9 +8,10 @@ prefix sums over lists.  A sparse set therefore encodes as the natural
 whose ordinary-binary 1-bits sit exactly at the set's elements, which the
 compressed tree representation keeps small.
 
-Every function takes the representation as its first argument.  On trees
-the pairing has specialized constant-ish-time paths; all other derivations
-are generic.
+Every function takes the representation as its first argument and uses
+only the :class:`~giantnat.core.NatRep` contract; nothing here tells one
+representation from another.  The pairing is written with leftshift and
+the run helpers, which trees override with edits of the outermost node.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from itertools import islice
 from typing import Callable
 
 from .core import DomainError, NatRep, GT, LT
-from .tree import LEAF, TREE, TreeNatRep, VNode, WNode, vmul
 
 # ----------------------------------------------------------------------
 # Pairing bijection
@@ -29,57 +29,30 @@ from .tree import LEAF, TREE, TreeNatRep, VNode, WNode, vmul
 
 def pair_encode(rep: NatRep, x, y):
     """2^x * (2y + 1), pairing x and y into a positive value."""
-    if isinstance(rep, TreeNatRep):
-        return _tree_pair_encode(x, y)
-    return rep.mul(rep.exp2(x), rep.o(y))
+    return rep.leftshift(x, rep.o(y))
+
+
+# An even z = 2^k * (2y + 1) reads, outermost digit first, as one i digit,
+# then k - 1 o digits, then the digits of 2y; an odd z is the o digit on y.
 
 
 def pair_first(rep: NatRep, z):
     """Exponent-of-2 component of a positive value; domain error on zero."""
     if rep.is_e(z):
         raise DomainError("pairing projection of zero")
-    if isinstance(rep, TreeNatRep):
-        return _tree_pair_first(z)
-    k = rep.e
-    while not rep.is_o(z):
-        z = rep.hf(z)
-        k = rep.succ(k)
-    return k
+    if rep.is_o(z):
+        return rep.e
+    return rep.succ(rep.run_count(True, rep.i_inv(z)))
 
 
 def pair_rest(rep: NatRep, z):
     """Odd-part component of a positive value; domain error on zero."""
     if rep.is_e(z):
         raise DomainError("pairing projection of zero")
-    if isinstance(rep, TreeNatRep):
-        return _tree_pair_rest(z)
-    while not rep.is_o(z):
-        z = rep.hf(z)
-    return rep.o_inv(z)
-
-
-# Tree shortcuts: the exponent run sits in the outermost node, so encoding
-# is one vmul and the projections read the node uncovered by one pred.
-
-
-def _tree_pair_encode(x, y):
-    return TREE.succ(vmul(x, TREE.pred(TREE.o(y))))
-
-
-def _tree_pair_first(z):
-    if type(z) is VNode:
-        return LEAF
-    below = TREE.pred(z)
-    return TREE.succ(below.head)
-
-
-def _tree_pair_rest(z):
-    if type(z) is VNode:
-        return TREE.o_inv(z)
-    tail = TREE.pred(z).tail
-    if not tail:
-        return LEAF
-    return TREE.succ(TREE.i_inv(WNode(tail[0], tail[1:])))
+    if rep.is_o(z):
+        return rep.o_inv(z)
+    doubled = rep.run_trim(True, rep.i_inv(z))
+    return rep.e if rep.is_e(doubled) else rep.hf(doubled)
 
 
 # ----------------------------------------------------------------------
@@ -164,80 +137,47 @@ def from_set(rep: NatRep, xs: list):
 # ----------------------------------------------------------------------
 
 
-def set_union(rep: NatRep, xs: list, ys: list) -> list:
+def _merge(rep: NatRep, xs: list, ys: list, keep_x: bool, keep_both: bool, keep_y: bool) -> list:
+    # Keep the elements found only in xs, in both, or only in ys, as flagged.
     cmp = rep.cmp
     out = []
     a, b = 0, 0
     while a < len(xs) and b < len(ys):
         r = cmp(xs[a], ys[b])
         if r is LT:
-            out.append(xs[a])
+            if keep_x:
+                out.append(xs[a])
             a += 1
         elif r is GT:
-            out.append(ys[b])
+            if keep_y:
+                out.append(ys[b])
             b += 1
         else:
-            out.append(xs[a])
+            if keep_both:
+                out.append(xs[a])
             a += 1
             b += 1
-    out.extend(xs[a:])
-    out.extend(ys[b:])
+    if keep_x:
+        out.extend(xs[a:])
+    if keep_y:
+        out.extend(ys[b:])
     return out
+
+
+def set_union(rep: NatRep, xs: list, ys: list) -> list:
+    return _merge(rep, xs, ys, keep_x=True, keep_both=True, keep_y=True)
 
 
 def set_intersection(rep: NatRep, xs: list, ys: list) -> list:
-    cmp = rep.cmp
-    out = []
-    a, b = 0, 0
-    while a < len(xs) and b < len(ys):
-        r = cmp(xs[a], ys[b])
-        if r is LT:
-            a += 1
-        elif r is GT:
-            b += 1
-        else:
-            out.append(xs[a])
-            a += 1
-            b += 1
-    return out
+    return _merge(rep, xs, ys, keep_x=False, keep_both=True, keep_y=False)
 
 
 def set_difference(rep: NatRep, xs: list, ys: list) -> list:
-    cmp = rep.cmp
-    out = []
-    a, b = 0, 0
-    while a < len(xs) and b < len(ys):
-        r = cmp(xs[a], ys[b])
-        if r is LT:
-            out.append(xs[a])
-            a += 1
-        elif r is GT:
-            b += 1
-        else:
-            a += 1
-            b += 1
-    out.extend(xs[a:])
-    return out
+    return _merge(rep, xs, ys, keep_x=True, keep_both=False, keep_y=False)
 
 
 def set_symdiff(rep: NatRep, xs: list, ys: list) -> list:
-    cmp = rep.cmp
-    out = []
-    a, b = 0, 0
-    while a < len(xs) and b < len(ys):
-        r = cmp(xs[a], ys[b])
-        if r is LT:
-            out.append(xs[a])
-            a += 1
-        elif r is GT:
-            out.append(ys[b])
-            b += 1
-        else:
-            a += 1
-            b += 1
-    out.extend(xs[a:])
-    out.extend(ys[b:])
-    return out
+    return _merge(rep, xs, ys, keep_x=True, keep_both=False, keep_y=True)
 
 
 # ----------------------------------------------------------------------

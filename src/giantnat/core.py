@@ -255,22 +255,12 @@ class NatRep(ABC, Generic[N]):
         """Product.  Zero absorbs; otherwise (x-1), (y-1) drive the digit loop."""
         if self.is_e(x) or self.is_e(y):
             return self.e
-        is_e, is_o = self.is_e, self.is_o
-        o, o_inv, i_inv, succ, add = self.o, self.o_inv, self.i_inv, self.succ, self.add
-        a = self.pred(x)
+        o, succ, add = self.o, self.succ, self.add
         b = self.pred(y)
-        # Strip a's digits outermost-first, then fold back innermost-first:
-        # an o digit doubles-and-increments, an i digit also adds b back in.
-        digits = []
-        while not is_e(a):
-            if is_o(a):
-                digits.append(True)
-                a = o_inv(a)
-            else:
-                digits.append(False)
-                a = i_inv(a)
+        # Fold (x-1)'s digits back innermost-first: an o digit
+        # doubles-and-increments, an i digit also adds b back in.
         acc = b
-        for is_o_digit in reversed(digits):
+        for is_o_digit in reversed(self._strip_digits(self.pred(x))):
             acc = o(acc) if is_o_digit else succ(add(b, o(acc)))
         return succ(acc)
 
@@ -338,12 +328,7 @@ class NatRep(ABC, Generic[N]):
 
     def dual(self, x: N) -> N:
         """Swap every o digit with i and vice versa.  An involution."""
-        digits = self._strip_digits(x)
-        y = self.e
-        o, i = self.o, self.i
-        for is_o_digit in reversed(digits):
-            y = i(y) if is_o_digit else o(y)
-        return y
+        return self._from_digits([not is_o_digit for is_o_digit in self._strip_digits(x)])
 
     def bitsize(self, x: N) -> N:
         """Digit count of x in bijective base 2, as a value of this representation."""
@@ -364,30 +349,25 @@ class NatRep(ABC, Generic[N]):
         Separates the outermost run of identical digits from the rest;
         a bijection from positive values onto all pairs.
         """
-        if self.is_o(z):
-            x0 = self.pred(self._ocount(z))
-            y = self._otrim(z)
-            x = self.pred(self.o(x0)) if self.is_e(y) else x0
-            return x, y
-        if self.is_i(z):
-            x0 = self.pred(self._icount(z))
-            y = self._itrim(z)
-            x = self.pred(self.i(x0)) if self.is_e(y) else x0
-            return x, y
-        raise DomainError("decons of zero")
+        if self.is_e(z):
+            raise DomainError("decons of zero")
+        o_digit = self.is_o(z)
+        x = self.pred(self.run_count(o_digit, z))
+        y = self.run_trim(o_digit, z)
+        if self.is_e(y):
+            x = self.pred((self.o if o_digit else self.i)(x))
+        return x, y
 
     def cons(self, x: N, y: N) -> N:
         """Pair x and y into a single positive value; inverse of :meth:`decons`."""
         succ = self.succ
-        if self.is_e(y):
-            if self.is_e(x):
-                return self._one
-            if self.is_o(x):
-                return self._itimes(succ(self.i_inv(succ(x))), self.e)
-            return self._otimes(succ(self.o_inv(succ(x))), self.e)
-        if self.is_o(y):
-            return self._itimes(succ(x), y)
-        return self._otimes(succ(x), y)
+        if not self.is_e(y):
+            return self.run_times(not self.is_o(y), succ(x), y)
+        if self.is_e(x):
+            return self._one
+        o_digit = not self.is_o(x)
+        d_inv = self.o_inv if o_digit else self.i_inv
+        return self.run_times(o_digit, succ(d_inv(succ(x))), self.e)
 
     def to_list_alt(self, x: N) -> list[N]:
         """Run-splitting bijection from values to lists, via repeated decons."""
@@ -406,42 +386,33 @@ class NatRep(ABC, Generic[N]):
             acc = cons(v, acc)
         return acc
 
-    # Internal run helpers for cons/decons: count and drop the outermost
-    # run of o (resp. i) digits, and iterate a digit a given number of times.
+    # Run helpers.  The digit is a flag, True for o and False for i, as in
+    # _strip_digits.  cons/decons, the pairing codec and perfect are built
+    # on these three, so a representation that can edit a whole run at once
+    # overrides them and speeds those callers up without their knowing it.
 
-    def _ocount(self, x: N) -> N:
+    def run_count(self, o_digit: bool, x: N) -> N:
+        """Length of the outermost run of the given digit; zero when x does
+        not open with that digit."""
+        is_d, d_inv = (self.is_o, self.o_inv) if o_digit else (self.is_i, self.i_inv)
         n = self.e
-        while self.is_o(x):
-            x = self.o_inv(x)
+        while is_d(x):
+            x = d_inv(x)
             n = self.succ(n)
         return n
 
-    def _icount(self, x: N) -> N:
-        n = self.e
-        while self.is_i(x):
-            x = self.i_inv(x)
-            n = self.succ(n)
-        return n
-
-    def _otrim(self, x: N) -> N:
-        while self.is_o(x):
-            x = self.o_inv(x)
+    def run_trim(self, o_digit: bool, x: N) -> N:
+        """x without its outermost run of the given digit."""
+        is_d, d_inv = (self.is_o, self.o_inv) if o_digit else (self.is_i, self.i_inv)
+        while is_d(x):
+            x = d_inv(x)
         return x
 
-    def _itrim(self, x: N) -> N:
-        while self.is_i(x):
-            x = self.i_inv(x)
-        return x
-
-    def _otimes(self, k: N, y: N) -> N:
+    def run_times(self, o_digit: bool, k: N, y: N) -> N:
+        """The given digit applied k times to y."""
+        d = self.o if o_digit else self.i
         while not self.is_e(k):
-            y = self.o(y)
-            k = self.pred(k)
-        return y
-
-    def _itimes(self, k: N, y: N) -> N:
-        while not self.is_e(k):
-            y = self.i(y)
+            y = d(y)
             k = self.pred(k)
         return y
 
@@ -462,6 +433,14 @@ class NatRep(ABC, Generic[N]):
                 x = i_inv(x)
         return digits
 
+    def _from_digits(self, digits: list[bool]) -> N:
+        # Inverse of _strip_digits: rebuild innermost digit first.
+        x = self.e
+        o, i = self.o, self.i
+        for is_o_digit in reversed(digits):
+            x = o(x) if is_o_digit else i(x)
+        return x
+
     def from_int(self, k: int) -> N:
         """Build the value for a Python int."""
         if k < 0:
@@ -474,11 +453,7 @@ class NatRep(ABC, Generic[N]):
             else:
                 digits.append(False)
                 k = (k - 2) >> 1
-        x = self.e
-        o, i = self.o, self.i
-        for is_o_digit in reversed(digits):
-            x = o(x) if is_o_digit else i(x)
-        return x
+        return self._from_digits(digits)
 
     def to_int(self, x: N) -> int:
         """Numeric value as a Python int."""
@@ -493,9 +468,4 @@ def view(x, src: NatRep, dst: NatRep):
 
     Structural recursion over the digits; value preserving.
     """
-    digits = src._strip_digits(x)
-    y = dst.e
-    o, i = dst.o, dst.i
-    for is_o_digit in reversed(digits):
-        y = o(y) if is_o_digit else i(y)
-    return y
+    return dst._from_digits(src._strip_digits(x))

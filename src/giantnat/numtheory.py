@@ -2,9 +2,10 @@
 recursive workloads (Ackermann, Syracuse), all written against the generic
 contract so they run on every representation.
 
-On trees, mersenne and fermat inherit the fast exp2 override and perfect
-gets a two-node shortcut, so numbers like 2^43112609 - 1 stay a handful of
-nodes.
+Nothing here tells one representation from another.  On trees, mersenne
+and fermat inherit the fast exp2 override and perfect the run_times one
+(two runs of p - 1 digits each), so numbers like 2^43112609 - 1 stay a
+handful of nodes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable, Iterator
 
 from .codecs import pair_rest
 from .core import DomainError, NatRep, GT, LT
-from .tree import Tree, TreeNatRep, TREE, VNode
+from .tree import Tree, TREE
 
 # Exponent of the 45th known Mersenne prime (GIMPS, 2008), the showcase
 # giant throughout this package: 43 million bits, a handful of tree nodes.
@@ -34,11 +35,10 @@ def perfect(rep: NatRep, p):
     """2^(p-1) * (2^p - 1), perfect whenever 2^p - 1 is prime; needs p >= 2."""
     if rep.cmp(p, rep.i(rep.e)) is LT:
         raise DomainError("perfect needs p >= 2")
-    if isinstance(rep, TreeNatRep):
-        # one V node: a run of p-1 o digits capped by a run of p-1 i digits
-        q = rep.pred(rep.pred(p))
-        return rep.succ(VNode(q, (q,)))
-    return rep.mul(rep.exp2(rep.pred(p)), mersenne(rep, p))
+    # p-1 i digits on zero make 2^p - 2; p-1 o digits on that make the
+    # product minus one
+    q = rep.pred(p)
+    return rep.succ(rep.run_times(True, q, rep.run_times(False, q, rep.e)))
 
 
 def mersenne45() -> Tree:

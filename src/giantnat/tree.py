@@ -11,7 +11,11 @@ few huge runs -- for instance 2^p - 1 -- stay tiny.
 Digit primitives touch only the outermost node plus one succ/pred on a
 counter.  Several derived operations have much faster equivalents here
 (exp2, leftshift, bitsize, dual, repsize, cons/decons); they are exposed
-both as module functions and as overrides on :class:`TreeNatRep`.
+both as module functions and as overrides on :class:`TreeNatRep`.  The
+run helpers (run_count, run_trim, run_times) are overridden too: a run is
+one counter of the outermost node, so each reads or edits that node, and
+the generic pairing codec and perfect-number constructor built on them
+get the speed without knowing about trees.
 Comparison, addition and multiplication are deliberately not overridden.
 """
 
@@ -168,6 +172,24 @@ class TreeNatRep(NatRep[Tree]):
 
     def cons(self, x: Tree, y: Tree) -> Tree:
         return cons_fast(x, y)
+
+    def run_count(self, o_digit: bool, x: Tree) -> Tree:
+        if type(x) is (VNode if o_digit else WNode):
+            return _SUCC(x.head)
+        return LEAF
+
+    def run_trim(self, o_digit: bool, x: Tree) -> Tree:
+        if type(x) is not (VNode if o_digit else WNode):
+            return x
+        if x.tail:
+            # the next run holds the other digit: re-tag the tail
+            return (WNode if o_digit else VNode)(x.tail[0], x.tail[1:])
+        return LEAF
+
+    def run_times(self, o_digit: bool, k: Tree, y: Tree) -> Tree:
+        if o_digit:
+            return vmul(k, y)
+        return dual_fast(vmul(k, dual_fast(y)))
 
 
 # ----------------------------------------------------------------------

@@ -217,6 +217,12 @@ def test_primes_command(capsys):
     assert run(capsys, "primes", "5", "--rep", "t")[1] == "2,3,5,7,11\n"
 
 
+def test_primes_rejects_negative_count(capsys):
+    code, out, err = run(capsys, "primes", "-3")
+    assert code == 1 and out == ""
+    assert err.startswith("giantnat: error:") and len(err.strip().splitlines()) == 1
+
+
 def test_ack_command(capsys):
     assert run(capsys, "ack", "3", "5")[1] == "253\n"
     assert run(capsys, "ack", "0", "9", "--rep", "b")[1] == "10\n"

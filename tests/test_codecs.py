@@ -1,8 +1,11 @@
 """Collection codecs, bitwise algebra, iso combinators."""
 
+import random
+
 import pytest
 
-from giantnat import BIGNAT, TREE, DomainError
+from helpers import value_if_feasible
+from giantnat import BIGNAT, LEAF, TREE, DomainError, WNode
 from giantnat.codecs import (
     Iso,
     as_,
@@ -33,7 +36,8 @@ from giantnat.codecs import (
     to_mset,
     to_set,
 )
-from giantnat.tree import node_count, print_tree
+from giantnat.numtheory import PRIME45, mersenne45, perfect45
+from giantnat.tree import dual_fast, node_count, print_tree, random_tree
 
 
 def ints(rep, xs):
@@ -101,6 +105,37 @@ def test_tree_pairing_agrees_with_generic_path():
             got = pair_encode(TREE, tx, ty)
             assert got == _generic_pair_encode(TREE, tx, ty)
             assert TREE.to_int(got) == _oracle_pair(x, y)
+
+
+def _even_giants(rng, count):
+    # Even trees too large to expand, on which pairing only takes succ/pred
+    # of small counters: depth-two counters under a W node whose head is
+    # nonzero, so one pred of the whole value shortens that head instead of
+    # walking a run.
+    out = [dual_fast(mersenne45())]  # 2^(PRIME45+1) - 2
+    while len(out) < count:
+        head = random_tree(rng, 2)
+        x = WNode(head, tuple(random_tree(rng, 2) for _ in range(rng.randrange(1, 4))))
+        if head != LEAF and value_if_feasible(x) is None:
+            out.append(x)
+    return out
+
+
+def test_tree_pairing_identities_on_giants():
+    rng = random.Random(45)
+    ks = _even_giants(rng, 10)
+    ys = [LEAF, perfect45(), *_even_giants(rng, 10)]
+    for k in ks:
+        for y in ys:
+            z = TREE.leftshift(k, TREE.o(y))
+            assert pair_first(TREE, z) == k
+            assert pair_rest(TREE, z) == y
+            assert pair_encode(TREE, pair_first(TREE, z), pair_rest(TREE, z)) == z
+    for y in ys:
+        z = TREE.o(y)
+        assert pair_first(TREE, z) == LEAF
+        assert pair_encode(TREE, pair_first(TREE, z), pair_rest(TREE, z)) == z
+    assert pair_first(TREE, perfect45()) == TREE.from_int(PRIME45 - 1)
 
 
 def test_pair_projections_of_zero_raise(rep):

@@ -1,0 +1,35 @@
+"""Only tree.py knows about trees: codecs and numtheory use the NatRep
+contract alone and never ask which representation they run on."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import giantnat
+
+PACKAGE = Path(giantnat.__file__).parent
+TREE_INTERNALS = {"isinstance", "TreeNatRep", "VNode", "WNode", "vmul"}
+
+
+def _names(module: str) -> set[str]:
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / module).read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+    return found
+
+
+@pytest.mark.parametrize("module", ["codecs.py", "numtheory.py"])
+def test_module_never_branches_on_representation(module):
+    assert not _names(module) & TREE_INTERNALS
+
+
+def test_codecs_import_nothing_from_tree():
+    tree = ast.parse((PACKAGE / "codecs.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "tree" not in imported and "giantnat.tree" not in imported

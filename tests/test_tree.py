@@ -212,6 +212,39 @@ def test_cons_decons_fast_agree_with_generic():
             assert decons_fast(fast) == (t(x), t(y))
 
 
+# ----------------------------------------------------------------------
+# run helpers
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("o_digit", [True, False], ids=["o", "i"])
+def test_run_helpers_agree_with_generic(o_digit):
+    for n in range(513):
+        x, k = t(n), t(n % 37)
+        assert TREE.run_count(o_digit, x) == NatRep.run_count(TREE, o_digit, x)
+        assert TREE.run_trim(o_digit, x) == NatRep.run_trim(TREE, o_digit, x)
+        assert TREE.run_times(o_digit, k, x) == NatRep.run_times(TREE, o_digit, k, x)
+
+
+def _giants():
+    # too large to expand, but every counter is small enough for succ/pred
+    rng = random.Random(2013)
+    out = [mersenne45(), perfect45()]
+    while len(out) < 60:
+        x = random_tree(rng, 3)
+        if value_if_feasible(x) is None:
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("o_digit", [True, False], ids=["o", "i"])
+def test_run_helpers_split_and_rebuild_giants(o_digit):
+    for x in _giants():
+        count, rest = TREE.run_count(o_digit, x), TREE.run_trim(o_digit, x)
+        assert TREE.run_times(o_digit, count, rest) == x
+        assert TREE.run_count(o_digit, rest) == LEAF
+
+
 def test_compression_witness_for_powers_of_two():
     # exp2 adds only a constant number of nodes to the exponent's tree.
     # The canonical forms force a delta of up to 5 (first at 119 and at
