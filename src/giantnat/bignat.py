@@ -8,10 +8,12 @@ checked against it.  This representation exists for correctness, not speed.
 
 from __future__ import annotations
 
+import decimal
+
 from .core import DomainError, ParseError, NatRep, Ordering, EQ, GT, LT
 
 
-class BigNatRep(NatRep[int]):
+class BigNatRep(NatRep):
     """Digit view of nonnegative Python ints: o(x) = 2x+1, i(x) = 2x+2."""
 
     e = 0
@@ -104,6 +106,11 @@ def oracle_bitsize(x: int) -> int:
 # Decimal text format used by the CLI
 # ----------------------------------------------------------------------
 
+# Exact for any length, unlike int <-> str, which the interpreter limits
+# to 4300 digits by default.  Sharing one context is safe: exact
+# conversions raise no flag, so nothing ever changes it.
+_DECIMAL = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+
 
 def parse_decimal(text: str) -> int:
     for pos, ch in enumerate(text):
@@ -111,11 +118,11 @@ def parse_decimal(text: str) -> int:
             raise ParseError(f"invalid decimal digit {ch!r}", pos)
     if not text:
         raise ParseError("empty decimal literal", 0)
-    return int(text)
+    return int(_DECIMAL.create_decimal(text))
 
 
 def print_decimal(x: int) -> str:
-    return str(x)
+    return str(_DECIMAL.create_decimal(x))
 
 
 BIGNAT = BigNatRep()

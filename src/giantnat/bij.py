@@ -67,7 +67,7 @@ class BijDigits:
 EMPTY = BijDigits([], 0)
 
 
-class BijNatRep(NatRep[BijDigits]):
+class BijNatRep(NatRep):
     """Digit primitives on :class:`BijDigits` sequences."""
 
     e = EMPTY

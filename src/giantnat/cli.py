@@ -23,7 +23,7 @@ from . import codecs, numtheory
 from .bignat import BIGNAT, parse_decimal, print_decimal
 from .bij import BIJ, digit_string, parse_digit_string
 from .core import DomainError, NatRep, ParseError, view
-from .tree import TREE, bitsize_fast, dag_to_dot, fold_to_dag, parse_tree, print_tree
+from .tree import TREE, dag_to_dot, fold_to_dag, parse_tree, print_tree
 
 FORMATS = ("dec", "tree", "bij")
 _FORMAT_REP: dict[str, NatRep] = {"dec": BIGNAT, "tree": TREE, "bij": BIJ}
@@ -80,19 +80,19 @@ def _cmd_special(args) -> int:
     if out == "tree":
         print(print_tree(value))
     elif out == "bitsize":
-        print(TREE.to_int(bitsize_fast(value)))
+        print(print_decimal(TREE.to_int(TREE.bitsize(value))))
     elif out == "nodes":
         print(len(fold_to_dag(value).nodes))
     elif out == "dot":
         sys.stdout.write(dag_to_dot(fold_to_dag(value)))
     else:  # dec
-        bits = TREE.to_int(bitsize_fast(value))
+        bits = TREE.to_int(TREE.bitsize(value))
         if bits > args.max_dec_bits:
             raise DomainError(
                 f"refusing decimal expansion: {bits} bits exceeds the cap of "
                 f"{args.max_dec_bits} (raise --max-dec-bits to override)"
             )
-        print(TREE.to_int(value))
+        print(print_decimal(TREE.to_int(value)))
     return 0
 
 
@@ -117,7 +117,7 @@ def _cmd_decode(args) -> int:
     rep = _FORMAT_REP[args.rep]
     value = _parse_value(args.rep, args.value)
     elements = _DECODERS[args.view](rep, value)
-    print(",".join(str(rep.to_int(v)) for v in elements))
+    print(",".join(print_decimal(rep.to_int(v)) for v in elements))
     return 0
 
 
@@ -142,7 +142,7 @@ def _cmd_bits(args) -> int:
             "ite": codecs.l_ite,
         }[op]
         result = fn(rep, *vals)
-    print(rep.to_int(result))
+    print(print_decimal(rep.to_int(result)))
     return 0
 
 
@@ -205,11 +205,11 @@ def _bench_syr_compress_twice(rep: NatRep) -> str:
 
 
 def _bench_bitsize45_m(rep: NatRep) -> str:
-    return f"bitsize={TREE.to_int(bitsize_fast(numtheory.mersenne45()))}"
+    return f"bitsize={TREE.to_int(TREE.bitsize(numtheory.mersenne45()))}"
 
 
 def _bench_bitsize45_p(rep: NatRep) -> str:
-    return f"bitsize={TREE.to_int(bitsize_fast(numtheory.perfect45()))}"
+    return f"bitsize={TREE.to_int(TREE.bitsize(numtheory.perfect45()))}"
 
 
 _BENCHES: list[tuple[str, Callable[[NatRep], str]]] = [
@@ -265,7 +265,7 @@ def _cmd_bench(args) -> int:
 def _cmd_nsyr(args) -> int:
     rep = _LETTER_REP[args.rep]
     seq = numtheory.nsyr(rep, rep.from_int(args.n))
-    print(",".join(str(rep.to_int(v)) for v in seq))
+    print(",".join(print_decimal(rep.to_int(v)) for v in seq))
     return 0
 
 
@@ -274,14 +274,14 @@ def _cmd_primes(args) -> int:
         raise DomainError(f"primes needs a nonnegative count, got {args.k}")
     rep = _LETTER_REP[args.rep]
     firsts = islice(numtheory.primes(rep), args.k)
-    print(",".join(str(rep.to_int(p)) for p in firsts))
+    print(",".join(print_decimal(rep.to_int(p)) for p in firsts))
     return 0
 
 
 def _cmd_ack(args) -> int:
     rep = _LETTER_REP[args.rep]
     v = numtheory.ack(rep, rep.from_int(args.m), rep.from_int(args.n))
-    print(rep.to_int(v))
+    print(print_decimal(rep.to_int(v)))
     return 0
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from typing import Generic, Iterator, TypeVar
+from typing import Iterator, TypeVar
 
 N = TypeVar("N")
 
@@ -53,7 +53,7 @@ EQ = Ordering.EQ
 GT = Ordering.GT
 
 
-class NatRep(ABC, Generic[N]):
+class NatRep(ABC):
     """Contract for a natural-number representation plus derived algorithms.
 
     Subclasses implement the six primitives for their value type ``N``.
@@ -387,9 +387,10 @@ class NatRep(ABC, Generic[N]):
         return acc
 
     # Run helpers.  The digit is a flag, True for o and False for i, as in
-    # _strip_digits.  cons/decons, the pairing codec and perfect are built
-    # on these three, so a representation that can edit a whole run at once
-    # overrides them and speeds those callers up without their knowing it.
+    # _strip_digits.  cons/decons and the pairing codec are built on these
+    # three, so a representation that can edit a whole run at once overrides
+    # them and speeds those callers up without their knowing it; trees also
+    # build their succ/pred on them.
 
     def run_count(self, o_digit: bool, x: N) -> N:
         """Length of the outermost run of the given digit; zero when x does

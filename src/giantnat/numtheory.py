@@ -3,9 +3,9 @@ recursive workloads (Ackermann, Syracuse), all written against the generic
 contract so they run on every representation.
 
 Nothing here tells one representation from another.  On trees, mersenne
-and fermat inherit the fast exp2 override and perfect the run_times one
-(two runs of p - 1 digits each), so numbers like 2^43112609 - 1 stay a
-handful of nodes.
+and fermat inherit the fast exp2 override and perfect the leftshift one,
+with pred and succ stepping over whole runs, so numbers like
+2^43112609 - 1 stay a handful of nodes.
 """
 
 from __future__ import annotations
@@ -35,10 +35,7 @@ def perfect(rep: NatRep, p):
     """2^(p-1) * (2^p - 1), perfect whenever 2^p - 1 is prime; needs p >= 2."""
     if rep.cmp(p, rep.i(rep.e)) is LT:
         raise DomainError("perfect needs p >= 2")
-    # p-1 i digits on zero make 2^p - 2; p-1 o digits on that make the
-    # product minus one
-    q = rep.pred(p)
-    return rep.succ(rep.run_times(True, q, rep.run_times(False, q, rep.e)))
+    return rep.leftshift(rep.pred(p), mersenne(rep, p))
 
 
 def mersenne45() -> Tree:

@@ -10,13 +10,15 @@ few huge runs -- for instance 2^p - 1 -- stay tiny.
 
 Digit primitives touch only the outermost node plus one succ/pred on a
 counter.  Several derived operations have much faster equivalents here
-(exp2, leftshift, bitsize, dual, repsize, cons/decons); they are exposed
-both as module functions and as overrides on :class:`TreeNatRep`.  The
-run helpers (run_count, run_trim, run_times) are overridden too: a run is
-one counter of the outermost node, so each reads or edits that node, and
-the generic pairing codec and perfect-number constructor built on them
-get the speed without knowing about trees.
-Comparison, addition and multiplication are deliberately not overridden.
+(exp2, leftshift, bitsize, dual, repsize); they are exposed both as module
+functions and as overrides on :class:`TreeNatRep`.  The run helpers
+(run_count, run_trim, run_times) are overridden too: a run is one counter
+of the outermost node, so each reads or edits that node, and the generic
+cons/decons and pairing codec built on them get the speed without knowing
+about trees.  succ and pred are overridden on top of those helpers: each
+turns a whole outermost run into a run of the other digit, so their cost
+follows the depth of the tree rather than the length of a run.
+Comparison, addition and multiplication keep the generic digit walks.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ class WNode(Tree):
         return h
 
 
-class TreeNatRep(NatRep[Tree]):
+class TreeNatRep(NatRep):
     """Digit primitives on trees, with the fast derived-operation overrides."""
 
     e = LEAF
@@ -152,6 +154,29 @@ class TreeNatRep(NatRep[Tree]):
 
     # fast overrides; semantics identical to the generic definitions
 
+    def succ(self, x: Tree) -> Tree:
+        if type(x) is not WNode:  # zero or odd: flip the outer digit
+            return self.i(self.o_inv(x)) if x is not LEAF else VNode(LEAF, ())
+        # an i run over r (zero or odd) becomes an o run as long over r + 1
+        r = self.run_trim(False, x)
+        if r is LEAF:
+            return VNode(_SUCC(x.head), ())
+        y = self.i(self.o_inv(r))
+        return VNode(x.head, (y.head, *y.tail))
+
+    def pred(self, x: Tree) -> Tree:
+        if type(x) is not VNode:  # zero or even: flip the outer digit
+            if x is LEAF:
+                raise DomainError("predecessor of zero")
+            return self.o(self.i_inv(x))
+        # an o run over r (zero or even) becomes an i run as long over r - 1;
+        # o^k(0) - 1 is i^(k-1)(0)
+        r = self.run_trim(True, x)
+        if r is LEAF:
+            return WNode(_PRED(x.head), ()) if x.head is not LEAF else LEAF
+        y = self.o(self.i_inv(r))
+        return WNode(x.head, (y.head, *y.tail))
+
     def exp2(self, x: Tree) -> Tree:
         return exp2_fast(x)
 
@@ -166,12 +191,6 @@ class TreeNatRep(NatRep[Tree]):
 
     def repsize(self, x: Tree) -> Tree:
         return repsize_fast(x)
-
-    def decons(self, z: Tree) -> tuple[Tree, Tree]:
-        return decons_fast(z)
-
-    def cons(self, x: Tree, y: Tree) -> Tree:
-        return cons_fast(x, y)
 
     def run_count(self, o_digit: bool, x: Tree) -> Tree:
         if type(x) is (VNode if o_digit else WNode):
@@ -259,35 +278,6 @@ def node_count(x: Tree) -> int:
     if x is LEAF:
         return 1
     return 1 + node_count(x.head) + sum(node_count(c) for c in x.tail)
-
-
-def decons_fast(z: Tree) -> tuple[Tree, Tree]:
-    """Pair-splitting bijection, reading the run split off the top node."""
-    t = type(z)
-    if t is VNode:
-        if z.tail:
-            return z.head, WNode(z.tail[0], z.tail[1:])
-        return _PRED(TREE.o(z.head)), LEAF
-    if t is WNode:
-        if z.tail:
-            return z.head, VNode(z.tail[0], z.tail[1:])
-        return _PRED(TREE.i(z.head)), LEAF
-    raise DomainError("decons of zero")
-
-
-def cons_fast(x: Tree, y: Tree) -> Tree:
-    """Inverse of :func:`decons_fast`; one node edit plus succ/pred work."""
-    ty = type(y)
-    if ty is VNode:
-        return WNode(x, (y.head, *y.tail))
-    if ty is WNode:
-        return VNode(x, (y.head, *y.tail))
-    # y is zero: the pair is encoded in a single run
-    if x is LEAF:
-        return VNode(LEAF, ())
-    if type(x) is VNode:
-        return WNode(TREE.i_inv(_SUCC(x)), ())
-    return VNode(TREE.o_inv(_SUCC(x)), ())
 
 
 # ----------------------------------------------------------------------

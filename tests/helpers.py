@@ -10,7 +10,7 @@ def value_if_feasible(x, max_digits=20000):
     Independent of the library's digit primitives, so it doubles as an
     oracle for the interpretation.  Random trees routinely encode
     astronomically large numbers; those are reported as None rather than
-    ever being expanded (even one succ/pred on them can walk a whole run).
+    ever being expanded, and checked by identities instead.
     """
     if x is LEAF:
         return 0

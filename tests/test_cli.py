@@ -1,5 +1,7 @@
 """Command-line interface: conversions, outputs, exit codes, benchmarks."""
 
+import sys
+
 from giantnat.cli import bench_lines, convert_text, main
 
 MERSENNE45_TEXT = (
@@ -274,3 +276,31 @@ def test_bench_sparse_all_reps_share_digest():
 def test_bench_command_exit(capsys):
     code, out, _ = run(capsys, "bench", "bitsize45", "--rep", "t")
     assert code == 0 and len(out.strip().splitlines()) == 2
+
+
+# ----------------------------------------------------------------------
+# decimals past the interpreter's int <-> str digit limit
+# ----------------------------------------------------------------------
+
+
+def _int_of(text):
+    # the oracle parses with the limit lifted, the CLI runs with it in place
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_special_dec_beyond_str_digit_limit(capsys):
+    code, out, err = run(capsys, "special", "mersenne", "20000", "--output", "dec")
+    assert code == 0 and err == ""
+    assert len(out.strip()) > 4300 and _int_of(out) == 2**20000 - 1
+
+
+def test_convert_dec_tree_round_trip_beyond_str_digit_limit():
+    text = "7" + "0123456789" * 600
+    tree = convert_text("dec", "tree", text)
+    assert convert_text("tree", "dec", tree) == text
+    assert convert_text("tree", "bij", tree) == convert_text("dec", "bij", text)

@@ -36,7 +36,7 @@ from giantnat.codecs import (
     to_mset,
     to_set,
 )
-from giantnat.numtheory import PRIME45, mersenne45, perfect45
+from giantnat.numtheory import PRIME45, mersenne, mersenne45, perfect45
 from giantnat.tree import dual_fast, node_count, print_tree, random_tree
 
 
@@ -108,10 +108,8 @@ def test_tree_pairing_agrees_with_generic_path():
 
 
 def _even_giants(rng, count):
-    # Even trees too large to expand, on which pairing only takes succ/pred
-    # of small counters: depth-two counters under a W node whose head is
-    # nonzero, so one pred of the whole value shortens that head instead of
-    # walking a run.
+    # Even trees too large to expand: depth-two counters under a W node
+    # whose head is nonzero.
     out = [dual_fast(mersenne45())]  # 2^(PRIME45+1) - 2
     while len(out) < count:
         head = random_tree(rng, 2)
@@ -136,6 +134,12 @@ def test_tree_pairing_identities_on_giants():
         assert pair_first(TREE, z) == LEAF
         assert pair_encode(TREE, pair_first(TREE, z), pair_rest(TREE, z)) == z
     assert pair_first(TREE, perfect45()) == TREE.from_int(PRIME45 - 1)
+
+
+def test_tree_pair_rest_of_perfect45():
+    # twice the odd-part component, 2^PRIME45 - 2, is one run of i digits,
+    # which hf's succ turns into a run of o digits in one step
+    assert pair_rest(TREE, perfect45()) == mersenne(TREE, TREE.from_int(PRIME45 - 1))
 
 
 def test_pair_projections_of_zero_raise(rep):

@@ -1,9 +1,14 @@
 """Generic-contract operations checked against native int arithmetic."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import giantnat
 from giantnat import BIGNAT, BIJ, TREE, DomainError, EQ, GT, LT, view
 from giantnat.bignat import oracle_bitsize
 
@@ -343,3 +348,36 @@ def test_succ_depth_counts_trailing_i_digits(rep):
     assert rep.succ_depth(rep.from_int(1)) == 1
     assert rep.succ_depth(rep.from_int(2)) == 2
     assert rep.succ_depth(rep.from_int(2**10 - 2)) == 10
+
+
+# ----------------------------------------------------------------------
+# module lifetime
+# ----------------------------------------------------------------------
+
+_REIMPORT = """
+import gc, importlib, sys, tracemalloc
+sys.path.insert(0, sys.argv[1])
+def fresh():
+    for name in [n for n in sys.modules if n == "giantnat" or n.startswith("giantnat.")]:
+        del sys.modules[name]
+    importlib.import_module("giantnat.cli")
+fresh()
+gc.collect()
+tracemalloc.start()
+for _ in range(40):
+    fresh()
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_reimported_package_copies_are_freed():
+    # A process that re-imports the package (a benchmark does, per pass)
+    # must not keep the old copies alive; typing caches a subscripted class
+    # such as NatRep[int], and with it the module, for the whole process.
+    src = str(Path(giantnat.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _REIMPORT, src],
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert int(out) < 2**20

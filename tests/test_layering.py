@@ -1,5 +1,6 @@
 """Only tree.py knows about trees: codecs and numtheory use the NatRep
-contract alone and never ask which representation they run on."""
+contract alone and never ask which representation they run on, and the CLI
+reaches tree shortcuts through TREE's overrides."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,14 @@ def test_codecs_import_nothing_from_tree():
     tree = ast.parse((PACKAGE / "codecs.py").read_text())
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "tree" not in imported and "giantnat.tree" not in imported
+
+
+def test_cli_imports_no_fast_function():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not {name for name in imported if name.endswith("_fast")}

@@ -10,9 +10,7 @@ from helpers import value_if_feasible
 from giantnat.numtheory import mersenne45, perfect45
 from giantnat.tree import (
     bitsize_fast,
-    cons_fast,
     dag_to_dot,
-    decons_fast,
     dual_fast,
     exp2_fast,
     fold_to_dag,
@@ -196,20 +194,23 @@ def test_repsize_and_node_count():
 
 
 def test_cons_decons_fast_reference_values():
-    assert cons_fast(LEAF, LEAF) == VNode(LEAF, ())
-    assert decons_fast(t(14)) == (t(5), LEAF)
+    assert TREE.cons(LEAF, LEAF) == VNode(LEAF, ())
+    assert TREE.decons(t(14)) == (t(5), LEAF)
     with pytest.raises(DomainError):
-        decons_fast(LEAF)
+        TREE.decons(LEAF)
 
 
-def test_cons_decons_fast_agree_with_generic():
-    for z in range(1, 2049):
-        assert decons_fast(t(z)) == NatRep.decons(TREE, t(z))
-    for x in range(64):
-        for y in range(64):
-            fast = cons_fast(t(x), t(y))
-            assert fast == NatRep.cons(TREE, t(x), t(y))
-            assert decons_fast(fast) == (t(x), t(y))
+# ----------------------------------------------------------------------
+# succ / pred over whole runs
+# ----------------------------------------------------------------------
+
+
+def test_succ_pred_agree_with_generic():
+    for k in range(4097):
+        x = t(k)
+        assert TREE.succ(x) == NatRep.succ(TREE, x)
+        if k:
+            assert TREE.pred(x) == NatRep.pred(TREE, x)
 
 
 # ----------------------------------------------------------------------
@@ -235,6 +236,20 @@ def _giants():
         if value_if_feasible(x) is None:
             out.append(x)
     return out
+
+
+def test_succ_pred_invert_each_other_on_giants():
+    for x in _giants():
+        assert TREE.pred(TREE.succ(x)) == x
+        assert TREE.succ(TREE.pred(x)) == x
+
+
+def test_cons_decons_round_trip_on_giants():
+    # a giant with a long outermost i run, paired with zero, needs a succ
+    # over that whole run
+    for x in _giants():
+        assert TREE.cons(*TREE.decons(x)) == x
+        assert TREE.decons(TREE.cons(x, LEAF)) == (x, LEAF)
 
 
 @pytest.mark.parametrize("o_digit", [True, False], ids=["o", "i"])
