@@ -314,7 +314,7 @@ class NatRep(ABC):
             grown = db(grown)
             k = succ(k)
         qt = self.pred(k)
-        return qt, self.sub(n, self.mul(self.exp2(qt), m))
+        return qt, self.sub(n, self.leftshift(qt, m))
 
     def divide(self, x: N, y: N) -> N:
         return self.div_and_rem(x, y)[0]
@@ -442,26 +442,20 @@ class NatRep(ABC):
             x = o(x) if is_o_digit else i(x)
         return x
 
+    # x + 1 in binary, leading 1 dropped, spells x's digits innermost first:
+    # a 0 bit is an o digit and a 1 bit an i digit.  Python converts ints
+    # to and from binary text in linear time.
+
     def from_int(self, k: int) -> N:
         """Build the value for a Python int."""
         if k < 0:
             raise DomainError("negative value")
-        digits = []
-        while k:
-            if k & 1:
-                digits.append(True)
-                k = (k - 1) >> 1
-            else:
-                digits.append(False)
-                k = (k - 2) >> 1
-        return self._from_digits(digits)
+        return self._from_digits([bit == "0" for bit in reversed(bin(k + 1)[3:])])
 
     def to_int(self, x: N) -> int:
         """Numeric value as a Python int."""
-        n = 0
-        for is_o_digit in reversed(self._strip_digits(x)):
-            n = 2 * n + 1 if is_o_digit else 2 * n + 2
-        return n
+        bits = ["0" if is_o_digit else "1" for is_o_digit in reversed(self._strip_digits(x))]
+        return int("1" + "".join(bits), 2) - 1
 
 
 def view(x, src: NatRep, dst: NatRep):

@@ -63,25 +63,14 @@ def primes(rep: NatRep) -> Iterator:
     cmp, mul, div_and_rem, is_e = rep.cmp, rep.mul, rep.div_and_rem, rep.is_e
     candidate = rep.succ(two)
     while True:
-        # factor out known primes; prime iff the factorization is [candidate]
-        n = candidate
-        factors = []
-        idx = 0
-        p = known[0]
-        while True:
-            if cmp(mul(p, p), n) is GT:
-                factors.append(n)
+        # prime iff no known prime up to its square root divides it
+        for p in known:
+            if cmp(mul(p, p), candidate) is GT:
+                known.append(candidate)
+                yield candidate
                 break
-            q, r = div_and_rem(n, p)
-            if is_e(r):
-                factors.append(p)
-                n = q
-            else:
-                idx += 1
-                p = known[idx]
-        if len(factors) == 1 and factors[0] == candidate:
-            known.append(candidate)
-            yield candidate
+            if is_e(div_and_rem(candidate, p)[1]):
+                break
         candidate = rep.succ(rep.succ(candidate))
 
 

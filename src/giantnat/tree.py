@@ -9,11 +9,12 @@ recursively to the counters, so numbers whose digit strings consist of a
 few huge runs -- for instance 2^p - 1 -- stay tiny.
 
 Digit primitives touch only the outermost node plus one succ/pred on a
-counter.  Several derived operations have much faster equivalents here
-(exp2, leftshift, bitsize, dual, repsize); they are exposed both as module
-functions and as overrides on :class:`TreeNatRep`.  The run helpers
-(run_count, run_trim, run_times) are overridden too: a run is one counter
-of the outermost node, so each reads or edits that node, and the generic
+counter.  :class:`TreeNatRep` overrides several derived operations with
+node-level edits: bitsize sums the outermost node's run counters, dual
+flips its tag, repsize counts nodes, and leftshift lays one o run under a
+single succ (exp2 is leftshift of one).  The run helpers (run_count,
+run_trim, run_times) are overridden too: a run is one counter of the
+outermost node, so each reads or edits that node, and the generic
 cons/decons and pairing codec built on them get the speed without knowing
 about trees.  succ and pred are overridden on top of those helpers: each
 turns a whole outermost run into a run of the other digit, so their cost
@@ -178,19 +179,41 @@ class TreeNatRep(NatRep):
         return WNode(x.head, (y.head, *y.tail))
 
     def exp2(self, x: Tree) -> Tree:
-        return exp2_fast(x)
+        return self.leftshift(x, self._one)
 
-    def leftshift(self, x: Tree, y: Tree) -> Tree:
-        return leftshift_fast(x, y)
+    def leftshift(self, k: Tree, y: Tree) -> Tree:
+        # 2^k*y is one more than k o digits on y-1, whatever the parity of y
+        # (the paper's identity a4)
+        if y is LEAF:
+            return LEAF
+        return _SUCC(self.run_times(True, k, _PRED(y)))
 
     def bitsize(self, x: Tree) -> Tree:
-        return bitsize_fast(x)
+        # sum the run lengths read off the outermost node's counters
+        if x is LEAF:
+            return LEAF
+        acc = x.head
+        for counter in reversed(x.tail):
+            acc = _SUCC(_ADD(counter, acc))
+        return _SUCC(acc)
 
     def dual(self, x: Tree) -> Tree:
-        return dual_fast(x)
+        # swapping every digit swaps every run: flip only the top tag
+        t = type(x)
+        if t is VNode:
+            return WNode(x.head, x.tail)
+        if t is WNode:
+            return VNode(x.head, x.tail)
+        return LEAF
 
     def repsize(self, x: Tree) -> Tree:
-        return repsize_fast(x)
+        # count of non-leaf nodes
+        if x is LEAF:
+            return LEAF
+        acc: Tree = LEAF
+        for child in reversed((x.head, *x.tail)):
+            acc = _ADD(self.repsize(child), acc)
+        return _SUCC(acc)
 
     def run_count(self, o_digit: bool, x: Tree) -> Tree:
         if type(x) is (VNode if o_digit else WNode):
@@ -206,71 +229,16 @@ class TreeNatRep(NatRep):
         return LEAF
 
     def run_times(self, o_digit: bool, k: Tree, y: Tree) -> Tree:
-        if o_digit:
-            return vmul(k, y)
-        return dual_fast(vmul(k, dual_fast(y)))
-
-
-# ----------------------------------------------------------------------
-# Fast derived operations
-# ----------------------------------------------------------------------
-
-
-def vmul(k: Tree, y: Tree) -> Tree:
-    """Apply the o digit k times to y by editing only the outermost node."""
-    if k is LEAF:
-        return y
-    if y is LEAF:
-        return VNode(_PRED(k), ())
-    if type(y) is VNode:
-        # y already opens with an o run; k joins its counter
-        return VNode(_ADD(k, y.head), y.tail)
-    return VNode(_PRED(k), (y.head, *y.tail))
-
-
-def exp2_fast(x: Tree) -> Tree:
-    """2 raised to x, in time proportional to succ/pred rather than to 2^x."""
-    if x is LEAF:
-        return VNode(LEAF, ())
-    return _SUCC(VNode(_PRED(x), ()))
-
-
-def leftshift_fast(k: Tree, y: Tree) -> Tree:
-    """y times 2 raised to k: 2^k*y is one more than k o digits on y-1,
-    whatever the parity of y."""
-    if y is LEAF:
-        return LEAF
-    return _SUCC(vmul(k, _PRED(y)))
-
-
-def bitsize_fast(x: Tree) -> Tree:
-    """Digit count, summing run lengths from the outermost node's counters."""
-    if x is LEAF:
-        return LEAF
-    acc = x.head
-    for counter in reversed(x.tail):
-        acc = _SUCC(_ADD(counter, acc))
-    return _SUCC(acc)
-
-
-def dual_fast(x: Tree) -> Tree:
-    """Swap all o and i digits by flipping only the top constructor."""
-    t = type(x)
-    if t is VNode:
-        return WNode(x.head, x.tail)
-    if t is WNode:
-        return VNode(x.head, x.tail)
-    return LEAF
-
-
-def repsize_fast(x: Tree) -> Tree:
-    """Count of non-leaf nodes, as a tree value."""
-    if x is LEAF:
-        return LEAF
-    acc: Tree = LEAF
-    for child in reversed((x.head, *x.tail)):
-        acc = _ADD(repsize_fast(child), acc)
-    return _SUCC(acc)
+        if not o_digit:
+            return self.dual(self.run_times(True, k, self.dual(y)))
+        if k is LEAF:
+            return y
+        if y is LEAF:
+            return VNode(_PRED(k), ())
+        if type(y) is VNode:
+            # y already opens with an o run; k joins its counter
+            return VNode(_ADD(k, y.head), y.tail)
+        return VNode(_PRED(k), (y.head, *y.tail))
 
 
 def node_count(x: Tree) -> int:
@@ -383,9 +351,16 @@ def print_tree(x: Tree) -> str:
     return f"{tag} {head} [{items}]"
 
 
+# Deepest nesting parse_tree accepts.  The recursive walks over trees
+# (printing, folding, ==, hash) need a few frames per level; no arithmetic
+# result nests anywhere near this deep.
+MAX_DEPTH = 256
+
+
 def parse_tree(text: str) -> Tree:
-    """Inverse of :func:`print_tree`; raises :class:`ParseError` with position."""
-    t, pos = _parse_node(text, 0)
+    """Inverse of :func:`print_tree`; raises :class:`ParseError` with position,
+    also for trees nested deeper than :data:`MAX_DEPTH`."""
+    t, pos = _parse_node(text, 0, 1)
     if pos != len(text):
         raise ParseError("trailing characters after tree", pos)
     return t
@@ -397,7 +372,8 @@ def _expect(s: str, pos: int, ch: str) -> int:
     return pos + 1
 
 
-def _parse_node(s: str, pos: int) -> tuple[Tree, int]:
+def _parse_node(s: str, pos: int, depth: int) -> tuple[Tree, int]:
+    # depth counts the inner nodes from the root down to this one
     if pos >= len(s):
         raise ParseError("unexpected end of input", pos)
     ch = s[pos]
@@ -405,13 +381,15 @@ def _parse_node(s: str, pos: int) -> tuple[Tree, int]:
         return LEAF, pos + 1
     if ch not in ("V", "W"):
         raise ParseError(f"expected 'T', 'V' or 'W', found {ch!r}", pos)
+    if depth > MAX_DEPTH:
+        raise ParseError(f"tree nested deeper than {MAX_DEPTH}", pos)
     ctor = VNode if ch == "V" else WNode
     pos = _expect(s, pos + 1, " ")
     if pos < len(s) and s[pos] == "T":
         head: Tree = LEAF
         pos += 1
     elif pos < len(s) and s[pos] == "(":
-        head, pos = _parse_node(s, pos + 1)
+        head, pos = _parse_node(s, pos + 1, depth + 1)
         pos = _expect(s, pos, ")")
     else:
         raise ParseError("expected head counter ('T' or a parenthesized tree)", pos)
@@ -420,7 +398,7 @@ def _parse_node(s: str, pos: int) -> tuple[Tree, int]:
     items: list[Tree] = []
     if pos < len(s) and s[pos] != "]":
         while True:
-            item, pos = _parse_node(s, pos)
+            item, pos = _parse_node(s, pos, depth + 1)
             items.append(item)
             if pos < len(s) and s[pos] == ",":
                 pos += 1

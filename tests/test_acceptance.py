@@ -16,10 +16,7 @@ from giantnat import codecs, numtheory
 from giantnat.bignat import oracle_bitsize
 from giantnat.cli import bench_lines, main
 from giantnat.tree import (
-    bitsize_fast,
-    exp2_fast,
     fold_to_dag,
-    leftshift_fast,
     print_tree,
     random_tree,
 )
@@ -92,11 +89,11 @@ def test_criterion_2_golden_sessions():
 
     checks.append(print_tree(t(42)) == "W (V T []) [T,T,T]")
 
-    e5 = exp2_fast(t(5))
+    e5 = TREE.exp2(t(5))
     checks.append(print_tree(e5) == "W T [V (V T []) []]")
     checks.append(TREE.to_int(e5) == 32)
 
-    shifted = leftshift_fast(t(10), t(1))
+    shifted = TREE.leftshift(t(10), t(1))
     checks.append(print_tree(shifted) == "W T [W T [V T []]]")
     checks.append(TREE.to_int(shifted) == 1024)
 
@@ -155,7 +152,7 @@ def test_criterion_2_golden_sessions():
 
 def test_criterion_3_giant_bitsize_and_dags(capsys):
     elapsed, bits = best_of(
-        3, lambda: TREE.to_int(bitsize_fast(numtheory.mersenne45()))
+        3, lambda: TREE.to_int(TREE.bitsize(numtheory.mersenne45()))
     )
     ok_bits = bits == 43112609 and elapsed < 1.0
 
@@ -184,8 +181,8 @@ def test_criterion_3_giant_bitsize_and_dags(capsys):
 
 def test_criterion_4_exp2_exp2_14():
     t14 = TREE.from_int(14)
-    elapsed, value = best_of(3, lambda: exp2_fast(exp2_fast(t14)))
-    bits = TREE.to_int(bitsize_fast(value))
+    elapsed, value = best_of(3, lambda: TREE.exp2(TREE.exp2(t14)))
+    bits = TREE.to_int(TREE.bitsize(value))
     want = oracle_bitsize(2**16384)
     report(
         4,

@@ -58,6 +58,15 @@ def test_convert_bad_tree_text(capsys):
     assert code == 1 and "position" in err
 
 
+def test_convert_refuses_deeply_nested_tree_text(capsys):
+    text = "V T []"
+    for _ in range(1200):
+        text = f"V ({text}) []"
+    code, out, err = run(capsys, "convert", "tree", "tree", text)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "nested deeper than 256" in err
+
+
 # ----------------------------------------------------------------------
 # special
 # ----------------------------------------------------------------------

@@ -37,7 +37,7 @@ from giantnat.codecs import (
     to_set,
 )
 from giantnat.numtheory import PRIME45, mersenne, mersenne45, perfect45
-from giantnat.tree import dual_fast, node_count, print_tree, random_tree
+from giantnat.tree import node_count, print_tree, random_tree
 
 
 def ints(rep, xs):
@@ -110,7 +110,7 @@ def test_tree_pairing_agrees_with_generic_path():
 def _even_giants(rng, count):
     # Even trees too large to expand: depth-two counters under a W node
     # whose head is nonzero.
-    out = [dual_fast(mersenne45())]  # 2^(PRIME45+1) - 2
+    out = [TREE.dual(mersenne45())]  # 2^(PRIME45+1) - 2
     while len(out) < count:
         head = random_tree(rng, 2)
         x = WNode(head, tuple(random_tree(rng, 2) for _ in range(rng.randrange(1, 4))))

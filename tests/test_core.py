@@ -1,5 +1,6 @@
 """Generic-contract operations checked against native int arithmetic."""
 
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import giantnat
-from giantnat import BIGNAT, BIJ, TREE, DomainError, EQ, GT, LT, view
+from giantnat import BIGNAT, BIJ, TREE, DomainError, EQ, GT, LT, NatRep, view
 from giantnat.bignat import oracle_bitsize
 
 SMALL = 130
@@ -251,6 +252,24 @@ def test_view_round_trip(rep):
     for k in range(0, 3000, 7):
         x = rep.from_int(k)
         assert view(view(x, rep, BIGNAT), BIGNAT, rep) == x
+
+
+_LARGE = {
+    "0": 0,
+    "1": 1,
+    "2": 2,
+    "mersenne200000": 2**200000 - 1,
+    "random100000": random.Random(2013).getrandbits(100000) | 1 << 99999,
+}
+
+
+@pytest.mark.parametrize("k", list(_LARGE.values()), ids=list(_LARGE))
+def test_from_int_to_int_round_trip_on_large_values(rep, k):
+    # the generic conversions, also on BIGNAT, which overrides both
+    x = NatRep.from_int(rep, k)
+    if rep is BIGNAT:
+        assert x == k
+    assert NatRep.to_int(rep, x) == k
 
 
 # ----------------------------------------------------------------------

@@ -45,3 +45,9 @@ def test_cli_imports_no_fast_function():
         for alias in node.names
     }
     assert not {name for name in imported if name.endswith("_fast")}
+
+
+def test_tree_shortcuts_live_only_in_tree_overrides():
+    tree = ast.parse((PACKAGE / "tree.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not {name for name in defined if name.endswith("_fast") or name == "vmul"}

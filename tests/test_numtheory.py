@@ -26,7 +26,7 @@ from giantnat.numtheory import (
     primes,
     syracuse,
 )
-from giantnat.tree import bitsize_fast, fold_to_dag, print_tree
+from giantnat.tree import fold_to_dag, print_tree
 
 
 # ----------------------------------------------------------------------
@@ -86,7 +86,7 @@ def test_fermat_values(rep):
 def test_fermat_11_tree():
     f11 = fermat(TREE, TREE.from_int(11))
     assert print_tree(f11) == "V T [T,V T [W T [V T []]]]"
-    assert TREE.to_int(bitsize_fast(f11)) == 2048
+    assert TREE.to_int(TREE.bitsize(f11)) == 2048
 
 
 def test_perfect_values(rep):
@@ -113,10 +113,10 @@ def test_perfect_requires_two(rep):
 
 def test_largest_known_forms():
     m45 = mersenne45()
-    assert TREE.to_int(bitsize_fast(m45)) == PRIME45
+    assert TREE.to_int(TREE.bitsize(m45)) == PRIME45
     assert len(fold_to_dag(m45).nodes) == 6
     p45 = perfect45()
-    assert TREE.to_int(bitsize_fast(p45)) == 2 * PRIME45 - 2
+    assert TREE.to_int(TREE.bitsize(p45)) == 2 * PRIME45 - 2
     assert len(fold_to_dag(p45).nodes) == 7
 
 

@@ -9,19 +9,14 @@ from giantnat.bignat import oracle_bitsize
 from helpers import value_if_feasible
 from giantnat.numtheory import mersenne45, perfect45
 from giantnat.tree import (
-    bitsize_fast,
+    MAX_DEPTH,
     dag_to_dot,
-    dual_fast,
-    exp2_fast,
     fold_to_dag,
-    leftshift_fast,
     node_count,
     parse_tree,
     print_tree,
     random_tree,
-    repsize_fast,
     unfold_dag,
-    vmul,
 )
 
 MERSENNE45_TEXT = (
@@ -100,30 +95,30 @@ def test_canonicity_round_trip_on_random_trees():
 
 
 def test_exp2_fast_reference_values():
-    e5 = exp2_fast(t(5))
+    e5 = TREE.exp2(t(5))
     assert print_tree(e5) == "W T [V (V T []) []]"
     assert TREE.to_int(e5) == 32
-    assert exp2_fast(LEAF) == VNode(LEAF, ())
+    assert TREE.exp2(LEAF) == VNode(LEAF, ())
 
 
 def test_exp2_fast_agrees_with_generic():
     for k in range(2049):
-        assert exp2_fast(t(k)) == NatRep.exp2(TREE, t(k))
+        assert TREE.exp2(t(k)) == NatRep.exp2(TREE, t(k))
 
 
 def test_exp2_fast_double_application():
-    v = exp2_fast(exp2_fast(t(14)))
-    assert TREE.to_int(bitsize_fast(v)) == oracle_bitsize(2**16384)
+    v = TREE.exp2(TREE.exp2(t(14)))
+    assert TREE.to_int(TREE.bitsize(v)) == oracle_bitsize(2**16384)
 
 
 def test_vmul():
     y = t(9)
-    assert vmul(LEAF, y) == y
-    assert TREE.to_int(vmul(t(3), t(1))) == 15
-    assert TREE.to_int(vmul(t(2), t(2))) == 11
+    assert TREE.run_times(True, LEAF, y) == y
+    assert TREE.to_int(TREE.run_times(True, t(3), t(1))) == 15
+    assert TREE.to_int(TREE.run_times(True, t(2), t(2))) == 11
     for k in range(20):
         for y0 in range(40):
-            got = vmul(t(k), t(y0))
+            got = TREE.run_times(True, t(k), t(y0))
             want = y0
             for _ in range(k):
                 want = 2 * want + 1
@@ -131,55 +126,55 @@ def test_vmul():
 
 
 def test_leftshift_fast_reference_values():
-    v = leftshift_fast(t(10), t(1))
+    v = TREE.leftshift(t(10), t(1))
     assert print_tree(v) == "W T [W T [V T []]]"
     assert TREE.to_int(v) == 1024
-    assert leftshift_fast(t(6), LEAF) == LEAF
+    assert TREE.leftshift(t(6), LEAF) == LEAF
 
 
 def test_leftshift_fast_agrees_with_generic():
     for k in range(40):
         for y in range(0, 65, 3):
-            assert leftshift_fast(t(k), t(y)) == NatRep.leftshift(TREE, t(k), t(y))
+            assert TREE.leftshift(t(k), t(y)) == NatRep.leftshift(TREE, t(k), t(y))
 
 
 def test_leftshift_fast_on_giant_arguments():
     big = t(43112609)
-    shifted = leftshift_fast(big, big)
+    shifted = TREE.leftshift(big, big)
     expect_bits = 43112609 + oracle_bitsize(43112609)
-    assert TREE.to_int(bitsize_fast(shifted)) == expect_bits
+    assert TREE.to_int(TREE.bitsize(shifted)) == expect_bits
 
 
 def test_bitsize_fast_agrees_with_generic():
-    assert bitsize_fast(LEAF) == LEAF
-    assert TREE.to_int(bitsize_fast(t(42))) == 5
+    assert TREE.bitsize(LEAF) == LEAF
+    assert TREE.to_int(TREE.bitsize(t(42))) == 5
     for k in range(2049):
-        assert bitsize_fast(t(k)) == NatRep.bitsize(TREE, t(k))
+        assert TREE.bitsize(t(k)) == NatRep.bitsize(TREE, t(k))
 
 
 def test_bitsize_fast_mersenne45():
-    assert TREE.to_int(bitsize_fast(mersenne45())) == 43112609
+    assert TREE.to_int(TREE.bitsize(mersenne45())) == 43112609
 
 
 def test_dual_fast_agrees_with_generic():
-    assert dual_fast(LEAF) == LEAF
-    assert TREE.to_int(dual_fast(t(1))) == 2
+    assert TREE.dual(LEAF) == LEAF
+    assert TREE.to_int(TREE.dual(t(1))) == 2
     for k in range(2049):
-        assert dual_fast(t(k)) == NatRep.dual(TREE, t(k))
+        assert TREE.dual(t(k)) == NatRep.dual(TREE, t(k))
 
 
 def test_dual_fast_flips_only_top_tag():
     x = WNode(VNode(LEAF, ()), (LEAF, LEAF, LEAF, WNode(WNode(LEAF, ()), (LEAF,) * 4)))
-    d = dual_fast(x)
+    d = TREE.dual(x)
     assert isinstance(d, VNode)
     assert d.head == x.head and d.tail == x.tail
 
 
 def test_repsize_and_node_count():
-    assert repsize_fast(LEAF) == LEAF
+    assert TREE.repsize(LEAF) == LEAF
     assert node_count(LEAF) == 1
     assert node_count(t(42)) == 6
-    assert TREE.to_int(repsize_fast(t(42))) == 2
+    assert TREE.to_int(TREE.repsize(t(42))) == 2
 
     def count_inner(x):
         if x is LEAF:
@@ -189,7 +184,7 @@ def test_repsize_and_node_count():
     rng = random.Random(99)
     for _ in range(200):
         x = random_tree(rng)
-        assert TREE.to_int(repsize_fast(x)) == count_inner(x)
+        assert TREE.to_int(TREE.repsize(x)) == count_inner(x)
         assert node_count(x) >= count_inner(x)
 
 
@@ -269,7 +264,7 @@ def test_compression_witness_for_powers_of_two():
     ks += [rng.randrange(16385, 10**6) for _ in range(2000)]
     for k in ks:
         base = t(k)
-        assert node_count(exp2_fast(base)) <= node_count(base) + 5
+        assert node_count(TREE.exp2(base)) <= node_count(base) + 5
 
 
 # ----------------------------------------------------------------------
@@ -352,6 +347,35 @@ def test_parse_errors_carry_positions():
         with pytest.raises(ParseError) as err:
             parse_tree(text)
         assert err.value.position == pos, text
+
+
+def _nested_text(depth, through_head):
+    # depth inner nodes, each holding the next one as its head counter or
+    # as its only tail counter
+    text = "V T []"
+    for _ in range(depth - 1):
+        text = f"V ({text}) []" if through_head else f"W T [{text}]"
+    return text
+
+
+def test_parse_refuses_deep_nesting():
+    for through_head, opener in ((True, "V ("), (False, "W T [")):
+        for depth in (MAX_DEPTH + 1, 1200):
+            with pytest.raises(ParseError, match="nested deeper than 256") as err:
+                parse_tree(_nested_text(depth, through_head))
+            # the position is that of the first node past the limit
+            assert err.value.position == MAX_DEPTH * len(opener)
+
+
+def test_deepest_accepted_nesting_parses_prints_folds_and_hashes():
+    for through_head in (True, False):
+        text = _nested_text(MAX_DEPTH, through_head)
+        x = parse_tree(text)
+        assert print_tree(x) == text
+        dag = fold_to_dag(x)
+        assert len(dag.nodes) == MAX_DEPTH + 1
+        assert unfold_dag(dag) == x
+        assert hash(x) == hash(parse_tree(text))
 
 
 def test_repr_matches_canonical_text():
