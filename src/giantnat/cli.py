@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 from . import codecs, numtheory
 from .bignat import BIGNAT, parse_decimal, print_decimal
 from .bij import BIJ, digit_string, parse_digit_string
-from .core import DomainError, NatRep, ParseError, view
+from .core import GT, DomainError, NatRep, ParseError, view
 from .tree import TREE, dag_to_dot, fold_to_dag, parse_tree, print_tree
 
 FORMATS = ("dec", "tree", "bij")
@@ -54,9 +54,20 @@ def _render_value(fmt: str, value) -> str:
     return digit_string(value)
 
 
+def _check_cap(size, cap: int, what: str, unit: str, hint: str = "") -> None:
+    # Refuse output whose size, a tree, exceeds cap; compared as trees, so a
+    # giant size is never expanded.
+    if TREE.cmp(size, TREE.from_int(cap)) is GT:
+        raise DomainError(f"refusing {what}: more than {cap} {unit}{hint}")
+
+
 def convert_text(src: str, dst: str, text: str) -> str:
-    """Parse ``text`` in format ``src`` and render it in format ``dst``."""
+    """Parse ``text`` in format ``src`` and render it in format ``dst``;
+    a tree is expanded into digits only up to :data:`DEFAULT_DEC_BITS_CAP`
+    bits."""
     value = _parse_value(src, text)
+    if src == "tree" and dst != "tree":
+        _check_cap(TREE.bitsize(value), DEFAULT_DEC_BITS_CAP, f"{dst} expansion", "bits")
     if src != dst:
         value = view(value, _FORMAT_REP[src], _FORMAT_REP[dst])
     return _render_value(dst, value)
@@ -86,12 +97,8 @@ def _cmd_special(args) -> int:
     elif out == "dot":
         sys.stdout.write(dag_to_dot(fold_to_dag(value)))
     else:  # dec
-        bits = TREE.to_int(TREE.bitsize(value))
-        if bits > args.max_dec_bits:
-            raise DomainError(
-                f"refusing decimal expansion: {bits} bits exceeds the cap of "
-                f"{args.max_dec_bits} (raise --max-dec-bits to override)"
-            )
+        _check_cap(TREE.bitsize(value), args.max_dec_bits, "decimal expansion", "bits",
+                   " (raise --max-dec-bits to override)")
         print(print_decimal(TREE.to_int(value)))
     return 0
 
@@ -116,7 +123,12 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     rep = _FORMAT_REP[args.rep]
     value = _parse_value(args.rep, args.value)
+    if args.rep == "tree":
+        _check_cap(codecs.list_length(TREE, value), DEFAULT_DEC_BITS_CAP, "to decode", "entries")
     elements = _DECODERS[args.view](rep, value)
+    if args.rep == "tree":
+        for v in elements:
+            _check_cap(TREE.bitsize(v), DEFAULT_DEC_BITS_CAP, "decimal expansion", "bits")
     print(",".join(print_decimal(rep.to_int(v)) for v in elements))
     return 0
 

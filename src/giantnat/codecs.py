@@ -70,6 +70,19 @@ def to_list(rep: NatRep, x) -> list:
     return out
 
 
+def list_length(rep: NatRep, x):
+    """Entry count of the list, multiset and set views of x, without
+    decoding them: the 1 bits of x in ordinary binary, which are one more
+    than the i digits of x - 1, counted a run at a time."""
+    if rep.is_e(x):
+        return rep.e
+    n, z = rep.o(rep.e), rep.pred(x)
+    while not rep.is_e(z):
+        n = rep.add(n, rep.run_count(False, z))
+        z = rep.run_trim(True, rep.run_trim(False, z))
+    return n
+
+
 def from_list(rep: NatRep, xs: list):
     """Inverse of :func:`to_list`; the empty list encodes zero."""
     acc = rep.e

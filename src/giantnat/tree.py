@@ -19,15 +19,20 @@ cons/decons and pairing codec built on them get the speed without knowing
 about trees.  succ and pred are overridden on top of those helpers: each
 turns a whole outermost run into a run of the other digit, so their cost
 follows the depth of the tree rather than the length of a run.
-Comparison, addition and multiplication keep the generic digit walks.
+cmp, add and sub read both operands a common stretch of runs at a time:
+add and sub run a bijective base-2 carry (or borrow) automaton that
+settles within two digits of a stretch, and cmp lets the operand that ends
+first, or else the innermost differing stretch, decide.  mul folds over
+the runs of x - 1, and from_int/to_int read and write whole runs of bits.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from random import Random
 
-from .core import DomainError, ParseError, NatRep
+from .core import EQ, GT, LT, DomainError, NatRep, Ordering, ParseError
 
 
 class Tree:
@@ -239,6 +244,219 @@ class TreeNatRep(NatRep):
             # y already opens with an o run; k joins its counter
             return VNode(_ADD(k, y.head), y.tail)
         return VNode(_PRED(k), (y.head, *y.tail))
+
+    # cmp, add and sub read both operands one common stretch of runs at a
+    # time (see _stretches): their cost follows run counts and tree depth.
+
+    def cmp(self, x: Tree, y: Tree) -> Ordering:
+        if x is LEAF:
+            return EQ if y is LEAF else LT
+        if y is LEAF:
+            return GT
+        return _order(*_stretches(x, y))
+
+    def add(self, x: Tree, y: Tree) -> Tree:
+        if x is LEAF:
+            return y
+        if y is LEAF:
+            return x
+        stretches, rest_x, rest_y = _stretches(x, y)
+        runs, carry = _carry_runs(stretches, 1)
+        rest = rest_y if rest_x is LEAF else rest_x
+        for _ in range(carry):
+            rest = _SUCC(rest)
+        return _node(runs, rest)
+
+    def sub(self, x: Tree, y: Tree) -> Tree:
+        if y is LEAF:
+            return x
+        if x is LEAF:
+            raise DomainError("subtraction underflow")
+        return _diff(*_stretches(x, y))
+
+    def mul(self, x: Tree, y: Tree) -> Tree:
+        # the generic fold over the digits of x - 1, taken a run at a time,
+        # with x the operand of fewer runs
+        if x is LEAF or y is LEAF:
+            return LEAF
+        if len(x.tail) > len(y.tail):
+            x, y = y, x
+        b, y1, a = _PRED(y), _SUCC(y), _PRED(x)
+        acc, counters = b, (() if a is LEAF else (a.head, *a.tail))
+        for j in range(len(counters) - 1, -1, -1):
+            k = counters[j]
+            if (j % 2 == 0) == (type(a) is VNode):
+                acc = self.run_times(True, _SUCC(k), acc)
+            elif k is LEAF:
+                acc = _SUCC(self.add(b, self.o(acc)))
+            else:
+                # k + 1 i digits: acc + 1 becomes 2^(k+1) (acc + 1 + y) - y
+                acc = self.sub(self.leftshift(_SUCC(k), self.add(acc, y1)), y1)
+        return _SUCC(acc)
+
+    # Conversions read and write whole runs of bits: x + 1 in binary,
+    # leading 1 dropped and reversed, spells x's digits outermost first,
+    # a 0 bit for an o digit and a 1 bit for an i digit.
+
+    def from_int(self, k: int) -> Tree:
+        if k < 0:
+            raise DomainError("negative value")
+        runs = _BIT_RUNS.findall(bin(k + 1)[:2:-1])
+        if not runs:
+            return LEAF
+        counters = [LEAF if len(r) == 1 else self.from_int(len(r) - 1) for r in runs]
+        return (VNode if runs[0][0] == "0" else WNode)(counters[0], tuple(counters[1:]))
+
+    def to_int(self, x: Tree) -> int:
+        if x is LEAF:
+            return 0
+        bit = "0" if type(x) is VNode else "1"
+        parts = []
+        for counter in (x.head, *x.tail):
+            parts.append(bit * (self.to_int(counter) + 1))
+            bit = "1" if bit == "0" else "0"
+        return int("1" + "".join(parts)[::-1], 2) - 1
+
+
+_BIT_RUNS = re.compile("0+|1+")
+
+
+def _stretches(x: Tree, y: Tree):
+    # Split two nonzero trees into common stretches, outermost first:
+    # (x digit is o, y digit is o, counter), the stretch one digit longer
+    # than its counter.  Each takes the shorter of the two current runs off
+    # both.  Also returns what is left of x and of y once one of them ends;
+    # at least one of the two is zero.
+    xs, ys = (x.head, *x.tail), (y.head, *y.tail)
+    nx, ny = len(xs), len(ys)
+    xo, yo = type(x) is VNode, type(y) is VNode
+    rx, ry = xs[0], ys[0]  # counters of what is left of the current runs
+    i = j = 0
+    out = []
+    while True:
+        if rx is ry or (rx is not LEAF and ry is not LEAF and rx == ry):
+            out.append((xo, yo, rx))
+            rx = ry = None
+        else:
+            order, gap = _gap(rx, ry)
+            if order is LT:
+                out.append((xo, yo, rx))
+                rx, ry = None, gap
+            else:
+                out.append((xo, yo, ry))
+                rx, ry = gap, None
+        if rx is None:
+            i += 1
+            if i < nx:
+                rx, xo = xs[i], not xo
+        if ry is None:
+            j += 1
+            if j < ny:
+                ry, yo = ys[j], not yo
+        if i == nx or j == ny:
+            return out, _rest(xo, rx, xs, i), _rest(yo, ry, ys, j)
+
+
+def _gap(a: Tree, b: Tree):
+    # Order of two distinct counters, and one less than their distance, from
+    # one walk of both: comparing and then subtracting would walk them twice,
+    # and so on every level below, exponentially in the depth.
+    if a is LEAF:
+        return LT, _PRED(b)
+    if b is LEAF:
+        return GT, _PRED(a)
+    stretches, rest_a, rest_b = _stretches(a, b)
+    if _order(stretches, rest_a, rest_b) is LT:
+        return LT, _PRED(_diff([(bo, ao, k) for ao, bo, k in stretches], rest_b, rest_a))
+    return GT, _PRED(_diff(stretches, rest_a, rest_b))
+
+
+def _order(stretches: list, rest_x: Tree, rest_y: Tree) -> Ordering:
+    # x against y from their common stretches and what is left of each: the
+    # operand that ends first is smaller, else the innermost stretch where
+    # the digits differ decides
+    if rest_x is not LEAF:
+        return GT
+    if rest_y is not LEAF:
+        return LT
+    for xo, yo, _ in reversed(stretches):
+        if xo != yo:
+            return LT if xo else GT
+    return EQ
+
+
+def _carry_runs(stretches: list, sign: int):
+    # Runs of x + y (sign 1) or x - y (sign -1) over the common stretches,
+    # outermost first, and the carry (or borrow) left past them.  With o
+    # worth 1 and i worth 2, each digit is s = dx + sign * (dy + carry): the
+    # result digit is o when s is odd, and the next carry is
+    # sign * (s - digit) / 2, always 0, 1 or 2.  It settles after at most
+    # two digits, so a stretch gives at most two single digits and a run.
+    runs: list = []
+    carry = 0
+    for xo, yo, k in stretches:
+        dx, dy = 2 - xo, 2 - yo
+        while True:
+            s = dx + sign * (dy + carry)
+            d_o = s & 1
+            nxt = sign * (s - 2 + d_o) // 2
+            if nxt == carry:  # settled: the rest of the stretch repeats d
+                _put(runs, d_o, k)
+                break
+            _put(runs, d_o, LEAF)
+            carry = nxt
+            if k is LEAF:
+                break
+            k = _PRED(k)
+    return runs, carry
+
+
+def _diff(stretches: list, rest: Tree, rest_y: Tree) -> Tree:
+    # x - y from their common stretches and what is left of each
+    if rest_y is not LEAF:
+        raise DomainError("subtraction underflow")
+    runs, borrow = _carry_runs(stretches, -1)
+    while borrow and rest is not LEAF:
+        rest = _PRED(rest)
+        borrow -= 1
+    if borrow:
+        # the digits so far minus 2^len: the innermost o digits pass the
+        # borrow on, the innermost i digit takes it
+        while runs and runs[-1][0]:
+            runs.pop()
+        if borrow == 2 or not runs:
+            raise DomainError("subtraction underflow")
+        k = runs.pop()[1]
+        if k is not LEAF:
+            runs.append((False, _PRED(k)))
+    return _node(runs, rest)
+
+
+def _rest(o_digit: bool, counter: Tree, counters: tuple, j: int) -> Tree:
+    # the tree left from run j on, whose first run is cut down to counter
+    if j == len(counters):
+        return LEAF
+    return (VNode if o_digit else WNode)(counter, counters[j + 1:])
+
+
+def _put(runs: list, o_digit, k: Tree) -> None:
+    # append a run of k + 1 digits, merging it into a last run of that digit
+    if runs and runs[-1][0] == o_digit:
+        runs[-1] = (o_digit, _SUCC(_ADD(runs[-1][1], k)))
+    else:
+        runs.append((o_digit, k))
+
+
+def _node(runs: list, rest: Tree) -> Tree:
+    # one tree from runs of alternating digits, outermost first, then rest
+    tail: tuple = ()
+    if rest is not LEAF:
+        _put(runs, type(rest) is VNode, rest.head)
+        tail = rest.tail
+    if not runs:
+        return LEAF
+    o_digit, head = runs[0]
+    return (VNode if o_digit else WNode)(head, (*(k for _, k in runs[1:]), *tail))
 
 
 def node_count(x: Tree) -> int:

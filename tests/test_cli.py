@@ -313,3 +313,49 @@ def test_convert_dec_tree_round_trip_beyond_str_digit_limit():
     tree = convert_text("dec", "tree", text)
     assert convert_text("tree", "dec", tree) == text
     assert convert_text("tree", "bij", tree) == convert_text("dec", "bij", text)
+
+
+# ----------------------------------------------------------------------
+# expansion caps
+# ----------------------------------------------------------------------
+
+TOWER5 = "V (V (V (V (V T []) []) []) []) []"  # 2^65536 - 1
+TOWER6 = f"V ({TOWER5}) []"  # 2^(2^65536) - 1
+
+
+def _refused(code, out, err):
+    return code == 1 and out == "" and len(err.strip().splitlines()) == 1
+
+
+def test_decode_refuses_too_many_entries(capsys):
+    perfect45 = run(capsys, "special", "perfect", "43112609")[1].strip()
+    for view in ("list", "set"):
+        code, out, err = run(capsys, "decode", view, perfect45, "--rep", "tree")
+        assert _refused(code, out, err) and "refusing to decode" in err
+
+
+def test_decode_refuses_a_giant_entry(capsys):
+    # 2^(2^(2^65536) + 1): one entry, of 2^65536 bits
+    code, out, err = run(capsys, "decode", "list", f"W T [{TOWER6}]", "--rep", "tree")
+    assert _refused(code, out, err) and "refusing decimal expansion" in err
+
+
+def test_decode_lets_few_entries_of_a_giant_through(capsys):
+    code, packed, _ = run(capsys, "encode", "set", "1,100,10000000", "--rep", "tree")
+    assert code == 0
+    code, out, err = run(capsys, "decode", "set", packed.strip(), "--rep", "tree")
+    assert code == 0 and err == "" and out == "1,100,10000000\n"
+
+
+def test_convert_refuses_expanding_a_tower(capsys):
+    for dst in ("dec", "bij"):
+        code, out, err = run(capsys, "convert", "tree", dst, TOWER6)
+        assert _refused(code, out, err) and f"refusing {dst} expansion" in err
+    code, out, err = run(capsys, "convert", "tree", "tree", TOWER6)
+    assert code == 0 and out == TOWER6 + "\n"
+
+
+def test_convert_expands_a_tower_within_the_cap(capsys):
+    code, out, err = run(capsys, "convert", "tree", "dec", TOWER5)
+    assert code == 0 and err == ""
+    assert _int_of(out) == 2**65536 - 1

@@ -22,6 +22,7 @@ from giantnat.codecs import (
     lend1,
     lend2,
     list_iso,
+    list_length,
     mset_iso,
     nat_iso,
     pair_encode,
@@ -165,6 +166,18 @@ def test_list_round_trip(rep):
     for k in range(2049):
         x = rep.from_int(k)
         assert from_list(rep, to_list(rep, x)) == x
+
+
+def test_list_length_counts_entries(rep):
+    for k in range(2000):
+        x = rep.from_int(k)
+        n = rep.to_int(list_length(rep, x))
+        assert n == len(to_list(rep, x)) == len(to_set(rep, x)) == bin(k).count("1")
+
+
+def test_list_length_of_perfect45():
+    # 2^(p-1) (2^p - 1) has p one bits; its list is never built
+    assert TREE.to_int(list_length(TREE, perfect45())) == PRIME45
 
 
 def test_mset_reference_values(rep):

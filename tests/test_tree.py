@@ -1,10 +1,13 @@
 """Compressed-tree representation: primitives, fast overrides, DAG, text."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from giantnat import BIJ, DomainError, LEAF, NatRep, ParseError, TREE, VNode, WNode, view
+from giantnat import BIJ, DomainError, EQ, GT, LEAF, LT, NatRep, ParseError, TREE, VNode, WNode, view
 from giantnat.bignat import oracle_bitsize
 from helpers import value_if_feasible
 from giantnat.numtheory import mersenne45, perfect45
@@ -253,6 +256,122 @@ def test_run_helpers_split_and_rebuild_giants(o_digit):
         count, rest = TREE.run_count(o_digit, x), TREE.run_trim(o_digit, x)
         assert TREE.run_times(o_digit, count, rest) == x
         assert TREE.run_count(o_digit, rest) == LEAF
+
+
+# ----------------------------------------------------------------------
+# cmp / add / sub / mul over runs
+# ----------------------------------------------------------------------
+
+
+def _check_arith_against_generic(a, b, mul=True):
+    x, y = t(a), t(b)
+    assert TREE.cmp(x, y) is NatRep.cmp(TREE, x, y)
+    assert TREE.add(x, y) == NatRep.add(TREE, x, y)
+    if mul:
+        assert TREE.mul(x, y) == NatRep.mul(TREE, x, y)
+    if a >= b:
+        assert TREE.sub(x, y) == NatRep.sub(TREE, x, y)
+    else:
+        with pytest.raises(DomainError, match="subtraction underflow"):
+            TREE.sub(x, y)
+
+
+def test_arith_agrees_with_generic():
+    for a in range(257):
+        for b in range(257):
+            _check_arith_against_generic(a, b)
+
+
+def test_arith_agrees_with_generic_on_random_operands():
+    # the generic mul walks the digits of its first operand, each step an
+    # add over the product so far: its multiplier is kept small here
+    rng = random.Random(1200)
+    for _ in range(40):
+        a, b = (rng.getrandbits(rng.randrange(1, 1201)) for _ in range(2))
+        for p, q in ((a, b), (a + b, a), (a, a + b + 1)):  # (a + b, a): one length
+            _check_arith_against_generic(p, q, mul=False)
+        small = t(rng.getrandbits(rng.randrange(1, 33)))
+        product = NatRep.mul(TREE, small, t(a))
+        assert TREE.mul(small, t(a)) == TREE.mul(t(a), small) == product
+
+
+@given(st.integers(min_value=0, max_value=1 << 256), st.integers(min_value=0, max_value=1 << 256))
+@settings(max_examples=100, deadline=None)
+def test_arith_homomorphism_hypothesis(a, b):
+    x, y = t(a), t(b)
+    assert TREE.cmp(x, y).value == (a > b) - (a < b)
+    assert TREE.to_int(TREE.add(x, y)) == a + b
+    assert TREE.to_int(TREE.mul(x, y)) == a * b
+    if a >= b:
+        assert TREE.to_int(TREE.sub(x, y)) == a - b
+    else:
+        with pytest.raises(DomainError):
+            TREE.sub(x, y)
+
+
+def test_arith_identities_on_giants():
+    giants = _giants()
+    for x, y in zip(giants, giants[1:] + giants[:1]):
+        assert TREE.add(x, x) == TREE.db(x)
+        assert TREE.mul(x, t(2)) == TREE.db(x)
+        assert TREE.cmp(x, x) is EQ
+        assert TREE.sub(TREE.add(x, y), y) == x
+        order = TREE.cmp(x, y)
+        assert TREE.cmp(y, x) is {LT: GT, EQ: EQ, GT: LT}[order]
+        size_order = TREE.cmp(TREE.bitsize(x), TREE.bitsize(y))
+        if size_order is not EQ:
+            assert order is size_order
+
+
+def test_mersenne45_squared():
+    # (2^p - 1)^2 = 2^(p+1) (2^(p-1) - 1) + 1
+    m = mersenne45()
+    p = TREE.bitsize(m)
+    want = TREE.succ(TREE.leftshift(TREE.succ(p), TREE.pred(TREE.exp2(TREE.pred(p)))))
+    assert TREE.mul(m, m) == want
+    assert TREE.to_int(TREE.bitsize(want)) == 2 * 43112609 - 1
+
+
+def test_arith_scales_with_tree_size():
+    # M(2^20) has a million digits; a digit walk takes some 20 s per add
+    start = time.perf_counter()
+    three = t(3)
+    for k in range(10, 21):
+        x = TREE.pred(TREE.exp2(t(1 << k)))
+        y = TREE.pred(x)
+        assert TREE.sub(TREE.add(x, y), y) == x
+        assert TREE.cmp(y, x) is LT
+        assert TREE.sub(TREE.mul(three, x), TREE.db(x)) == x
+    assert time.perf_counter() - start < 1.0
+
+
+def test_arith_on_deepest_towers():
+    # towers nested as deep as parse_tree allows, differing only innermost:
+    # comparing counters and then subtracting them would walk each level
+    # twice, 2^255 walks in all
+    def tower(inner):
+        for _ in range(MAX_DEPTH - 1):
+            inner = f"V ({inner}) []"
+        return parse_tree(inner)
+
+    x, z = tower("V T []"), tower("W T []")
+    assert TREE.cmp(x, z) is LT and TREE.cmp(z, x) is GT
+    assert TREE.sub(TREE.add(x, z), z) == x
+    assert TREE.pred(TREE.sub(z, x)) == TREE.sub(TREE.pred(z), x)
+
+
+# ----------------------------------------------------------------------
+# conversions
+# ----------------------------------------------------------------------
+
+
+def test_from_int_to_int_agree_with_generic():
+    rng = random.Random(5000)
+    ks = list(range(4097)) + [rng.getrandbits(rng.randrange(1, 5001)) for _ in range(200)]
+    for k in ks:
+        x = TREE.from_int(k)
+        assert x == NatRep.from_int(TREE, k)
+        assert TREE.to_int(x) == NatRep.to_int(TREE, x) == k
 
 
 def test_compression_witness_for_powers_of_two():
