@@ -9,9 +9,12 @@ are then exactly the bijective base-2 numerals over the digit alphabet
 Everything else -- successor/predecessor, arithmetic, comparison, division,
 and the digit-level "special computations" (dual, bitsize, the cons/decons
 pairing) -- is derived here once from the primitives and shared by every
-representation.  A representation may override a derived operation with a
-faster equivalent as long as observable behaviour is unchanged; the derived
-definitions below remain available through the base class for cross-checks.
+representation.  Division is binary long division, one pass over the
+quotient's bits; a power-of-two divisor goes to ``split``, which reads the
+quotient off the digits left once the low ones are dropped.  A
+representation may override a derived operation with a faster equivalent as
+long as observable behaviour is unchanged; the derived definitions below
+remain available through the base class for cross-checks.
 
 All values are immutable and all operations are pure, so values can be
 shared freely across threads.
@@ -295,26 +298,61 @@ class NatRep(ABC):
         return self.mul(self.exp2(x), y)
 
     def div_and_rem(self, x: N, y: N) -> tuple[N, N]:
-        """Quotient and remainder; domain error when y is zero."""
+        """Quotient and remainder; domain error when y is zero.
+
+        A power-of-two divisor 2^k is :meth:`split` at k.  Any other is
+        binary long division, one pass over the quotient's bits: k is the
+        difference of the binary bit lengths (bitsize of x - 1 less that of
+        y - 1), so the quotient has at most k + 1 bits; m = 2^k y is halved
+        once per bit and subtracted where it fits.
+        """
         if self.is_e(y):
             raise DomainError("division by zero")
-        q = self.e
-        r = x
-        while self.cmp(r, y) is not LT:
-            qt, r = self._divstep(r, y)
-            q = self.add(q, self.exp2(qt))
-        return q, r
+        cmp, sub, o, db, hf, pred, is_e = (
+            self.cmp, self.sub, self.o, self.db, self.hf, self.pred, self.is_e)
+        if cmp(x, y) is LT:
+            return self.e, x
+        y1 = pred(y)
+        if is_e(self.run_trim(True, y1)):  # y - 1 is all o digits
+            return self.split(self.run_count(True, y1), x)
+        k = sub(self.bitsize(pred(x)), self.bitsize(y1))
+        m = self.leftshift(k, y)
+        q, r = self.e, x
+        while True:
+            if cmp(r, m) is LT:
+                q = db(q)
+            else:
+                q, r = o(q), sub(r, m)
+            if is_e(k):
+                return q, r
+            m, k = hf(m), pred(k)
 
-    def _divstep(self, n: N, m: N) -> tuple[N, N]:
-        # Largest k with 2^k * m <= n, found by repeated doubling; requires n >= m.
-        k = self.e
-        grown = m
-        cmp, db, succ = self.cmp, self.db, self.succ
-        while cmp(n, grown) is not LT:
-            grown = db(grown)
-            k = succ(k)
-        qt = self.pred(k)
-        return qt, self.sub(n, self.leftshift(qt, m))
+    def split(self, k: N, x: N) -> tuple[N, N]:
+        """(x div 2^k, x mod 2^k).
+
+        With t for x without its k outermost digits and s for the binary
+        value of those digits (o as 0, i as 1), x = 2^k (t + 1) + s - 1: the
+        quotient is t when s is zero, else t + 1.  An x of fewer than k
+        digits gives (0, x).
+        """
+        t, all_o = self._drop_digits(k, x)
+        q = t if all_o else self.succ(t)
+        return q, self.sub(x, self.leftshift(k, q))
+
+    def _drop_digits(self, k: N, x: N) -> tuple[N, bool]:
+        # x without its k outermost digits, and whether every digit dropped
+        # was o; (0, True) when x has fewer than k digits
+        is_e, is_o, o_inv, i_inv, pred = self.is_e, self.is_o, self.o_inv, self.i_inv, self.pred
+        all_o = True
+        while not is_e(k):
+            if is_e(x):
+                return self.e, True
+            if is_o(x):
+                x = o_inv(x)
+            else:
+                x, all_o = i_inv(x), False
+            k = pred(k)
+        return x, all_o
 
     def divide(self, x: N, y: N) -> N:
         return self.div_and_rem(x, y)[0]

@@ -5,7 +5,8 @@ contract so they run on every representation.
 Nothing here tells one representation from another.  On trees, mersenne
 and fermat inherit the fast exp2 override and perfect the leftshift one,
 with pred and succ stepping over whole runs, so numbers like
-2^43112609 - 1 stay a handful of nodes.
+2^43112609 - 1 stay a handful of nodes.  fastmod divides by a power of
+two, which div_and_rem hands to split.
 """
 
 from __future__ import annotations
@@ -56,17 +57,17 @@ def perfect45() -> Tree:
 def primes(rep: NatRep) -> Iterator:
     """Ascending stream of all primes, built from the representation's own
     arithmetic: trial division of each odd candidate by earlier primes up
-    to its square root."""
+    to its square root.  Each known prime is kept with its square."""
     two = rep.i(rep.e)
-    known = [two]
-    yield two
     cmp, mul, div_and_rem, is_e = rep.cmp, rep.mul, rep.div_and_rem, rep.is_e
+    known = [(two, mul(two, two))]
+    yield two
     candidate = rep.succ(two)
     while True:
         # prime iff no known prime up to its square root divides it
-        for p in known:
-            if cmp(mul(p, p), candidate) is GT:
-                known.append(candidate)
+        for p, square in known:
+            if cmp(square, candidate) is GT:
+                known.append((candidate, mul(candidate, candidate)))
                 yield candidate
                 break
             if is_e(div_and_rem(candidate, p)[1]):

@@ -24,11 +24,14 @@ add and sub run a bijective base-2 carry (or borrow) automaton that
 settles within two digits of a stretch, and cmp lets the operand that ends
 first, or else the innermost differing stretch, decide.  mul folds over
 the runs of x - 1, and from_int/to_int read and write whole runs of bits.
+split drops its k digits a whole run at a time, so dividing by a power of
+two follows the run count and the depth, however long the runs.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from random import Random
 
@@ -294,6 +297,26 @@ class TreeNatRep(NatRep):
                 acc = self.sub(self.leftshift(_SUCC(k), self.add(acc, y1)), y1)
         return _SUCC(acc)
 
+    def _drop_digits(self, k: Tree, x: Tree) -> tuple[Tree, bool]:
+        # whole runs at a time: one walk of a run's counter c and of k gives
+        # their order and distance; a run of c + 1 digits holding the k-th
+        # digit from the outside is cut there
+        if x is LEAF:
+            return LEAF, True
+        counters = (x.head, *x.tail)
+        o_digit, all_o = type(x) is VNode, True
+        for j, c in enumerate(counters):
+            if k is LEAF:
+                return _rest(o_digit, c, counters, j), all_o
+            all_o = all_o and o_digit
+            if c is k or c == k:  # k digits leave one of the run
+                return _rest(o_digit, LEAF, counters, j), all_o
+            order, gap = _gap(c, k)
+            if order is GT:  # k digits leave c - k + 1 of the run
+                return _rest(o_digit, _SUCC(gap), counters, j), all_o
+            k, o_digit = gap, not o_digit  # the run goes, k - c - 1 to drop
+        return LEAF, all_o or k is not LEAF
+
     # Conversions read and write whole runs of bits: x + 1 in binary,
     # leading 1 dropped and reversed, spells x's digits outermost first,
     # a 0 bit for an o digit and a 1 bit for an i digit.
@@ -313,7 +336,10 @@ class TreeNatRep(NatRep):
         bit = "0" if type(x) is VNode else "1"
         parts = []
         for counter in (x.head, *x.tail):
-            parts.append(bit * (self.to_int(counter) + 1))
+            run = self.to_int(counter) + 1
+            if run > sys.maxsize:  # no string holds the run
+                raise DomainError("value too large to expand into an int")
+            parts.append(bit * run)
             bit = "1" if bit == "0" else "0"
         return int("1" + "".join(parts)[::-1], 2) - 1
 

@@ -232,6 +232,33 @@ def test_div_homomorphism_hypothesis(a, b):
         assert (rep_.to_int(q), rep_.to_int(r)) == divmod(a, b)
 
 
+def test_split_agrees_with_divmod(rep):
+    ks = [rep.from_int(k) for k in range(14)]
+    for x in range(3000):
+        v = rep.from_int(x)
+        for k, kv in enumerate(ks):
+            q, r = rep.split(kv, v)
+            assert (rep.to_int(q), rep.to_int(r)) == divmod(x, 1 << k)
+
+
+@pytest.mark.parametrize("rep_, top", [(TREE, 4000), (BIGNAT, 4000), (BIJ, 1000)],
+                         ids=["tree", "bignat", "bij"])
+def test_div_and_rem_on_random_operands(rep_, top):
+    # long division costs one cmp and one sub per quotient bit, each over
+    # the whole operand: long operands get short quotients, short ones any
+    rng = random.Random(top)
+    cases = []
+    for _ in range(20):
+        n = rng.randrange(2, top + 1)
+        m = max(1, n - rng.randrange(1, 41))
+        cases.append((rng.getrandbits(n), rng.getrandbits(m) | 1 << (m - 1)))
+        n = rng.randrange(1, 201)
+        cases.append((rng.getrandbits(n), rng.getrandbits(rng.randrange(1, n + 1)) or 1))
+    for a, b in cases:
+        q, r = rep_.div_and_rem(rep_.from_int(a), rep_.from_int(b))
+        assert (rep_.to_int(q), rep_.to_int(r)) == divmod(a, b)
+
+
 # ----------------------------------------------------------------------
 # view
 # ----------------------------------------------------------------------

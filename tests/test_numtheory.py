@@ -1,5 +1,6 @@
 """Special numbers, primes, Lucas-Lehmer, Ackermann, Syracuse, identities."""
 
+import time
 from itertools import islice
 
 import pytest
@@ -161,6 +162,17 @@ def test_lucas_lehmer_matches_trial_division():
         if p == 2:
             continue
         assert lucas_lehmer(BIGNAT, p) == is_prime_trial(2**p - 1)
+
+
+def test_lucas_lehmer_on_trees_against_bignat():
+    # long division, with split for the power of two, takes about 1.5-3 s
+    # for p = 127 on trees on a 2-core host and some 5 s for all seven; the
+    # doubling divstep it replaced took over 10 s for p = 61 alone
+    cases = {61: True, 67: False, 71: False, 89: True, 101: False, 107: True, 127: True}
+    start = time.perf_counter()
+    assert {p: lucas_lehmer(TREE, TREE.from_int(p)) for p in cases} == cases
+    assert time.perf_counter() - start < 60
+    assert {p: lucas_lehmer(BIGNAT, p) for p in cases} == cases
 
 
 def test_mersenne_exponent_stream():

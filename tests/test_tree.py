@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from giantnat import BIJ, DomainError, EQ, GT, LEAF, LT, NatRep, ParseError, TREE, VNode, WNode, view
 from giantnat.bignat import oracle_bitsize
 from helpers import value_if_feasible
-from giantnat.numtheory import mersenne45, perfect45
+from giantnat.numtheory import PRIME45, mersenne, mersenne45, perfect45
 from giantnat.tree import (
     MAX_DEPTH,
     dag_to_dot,
@@ -361,6 +361,50 @@ def test_arith_on_deepest_towers():
 
 
 # ----------------------------------------------------------------------
+# split and division
+# ----------------------------------------------------------------------
+
+
+def test_split_agrees_with_generic():
+    rng = random.Random(3000)
+    pairs = [(k, x) for x in range(3000) for k in range(14)]
+    pairs += [(rng.randrange(5001), rng.getrandbits(rng.randrange(1, 5001))) for _ in range(60)]
+    for k, x in pairs:
+        kt, xt = t(k), t(x)
+        assert TREE._drop_digits(kt, xt) == NatRep._drop_digits(TREE, kt, xt)
+        assert TREE.split(kt, xt) == NatRep.split(TREE, kt, xt)
+
+
+@given(st.integers(min_value=0, max_value=1 << 256), st.integers(min_value=1, max_value=1 << 256),
+       st.integers(min_value=0, max_value=300))
+@settings(max_examples=100, deadline=None)
+def test_div_and_split_homomorphism_hypothesis(a, b, k):
+    q, r = TREE.div_and_rem(t(a), t(b))
+    assert (TREE.to_int(q), TREE.to_int(r)) == divmod(a, b)
+    q, r = TREE.split(t(k), t(a))
+    assert (TREE.to_int(q), TREE.to_int(r)) == divmod(a, 1 << k)
+
+
+def test_split_identities_on_giants():
+    giants = _giants()
+    for x, y in zip(giants, giants[1:] + giants[:1]):
+        size = TREE.bitsize(x)
+        for k in (*map(t, (0, 1, 2, 7, 1000)), TREE.pred(size), size, TREE.succ(size), y):
+            q, r = TREE.split(k, x)
+            assert TREE.add(TREE.leftshift(k, q), r) == x
+            assert TREE.cmp(r, TREE.exp2(k)) is LT
+            assert TREE.div_and_rem(x, TREE.exp2(k)) == (q, r)
+
+
+def test_mersenne45_divided_by_a_power_of_two():
+    # 2^p - 1 = 2^1000 (2^(p-1000) - 1) + 2^1000 - 1
+    start = time.perf_counter()
+    got = TREE.div_and_rem(mersenne45(), TREE.exp2(t(1000)))
+    assert time.perf_counter() - start < 0.1  # about 0.5 ms here
+    assert got == (mersenne(TREE, t(PRIME45 - 1000)), mersenne(TREE, t(1000)))
+
+
+# ----------------------------------------------------------------------
 # conversions
 # ----------------------------------------------------------------------
 
@@ -372,6 +416,14 @@ def test_from_int_to_int_agree_with_generic():
         x = TREE.from_int(k)
         assert x == NatRep.from_int(TREE, k)
         assert TREE.to_int(x) == NatRep.to_int(TREE, x) == k
+
+
+def test_to_int_refuses_a_run_past_the_index_range():
+    # the 6-level tower is 2^(2^65536) - 1: one run of 2^65536 o digits
+    tower = parse_tree("V (V (V (V (V (V T []) []) []) []) []) []")
+    with pytest.raises(DomainError, match="too large"):
+        TREE.to_int(tower)
+    assert TREE.to_int(tower.head) == (1 << 65536) - 1
 
 
 def test_compression_witness_for_powers_of_two():
