@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import decimal
 
-from .core import DomainError, ParseError, NatRep, Ordering, EQ, GT, LT
+from .core import DomainError, ParseError, NatRep, Ordering, EQ, GT, LT, int_runs, runs_int
 
 
 class BigNatRep(NatRep):
@@ -50,16 +50,10 @@ class BigNatRep(NatRep):
     def is_i(x: int) -> bool:
         return x > 0 and x & 1 == 0
 
-    # int values already are their own numeric meaning
-    @staticmethod
-    def from_int(k: int) -> int:
-        if k < 0:
-            raise DomainError("negative value")
-        return k
-
-    @staticmethod
-    def to_int(x: int) -> int:
-        return x
+    # an int's runs are those of its binary text, so from_int and to_int
+    # give back the int they are handed
+    _strip_runs = staticmethod(int_runs)
+    _from_runs = staticmethod(runs_int)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ and the digit-level "special computations" (dual, bitsize, the cons/decons
 pairing) -- is derived here once from the primitives and shared by every
 representation.  Division is binary long division, one pass over the
 quotient's bits; a power-of-two divisor goes to ``split``, which reads the
-quotient off the digits left once the low ones are dropped.  A
+quotient off the digits left once the low ones are dropped.  Conversions
+all go through one format, a list of runs (see ``_strip_runs``).  A
 representation may override a derived operation with a faster equivalent as
 long as observable behaviour is unchanged; the derived definitions below
 remain available through the base class for cross-checks.
@@ -23,6 +24,7 @@ shared freely across threads.
 from __future__ import annotations
 
 import enum
+import re
 from abc import ABC, abstractmethod
 from typing import Iterator, TypeVar
 
@@ -263,8 +265,9 @@ class NatRep(ABC):
         # Fold (x-1)'s digits back innermost-first: an o digit
         # doubles-and-increments, an i digit also adds b back in.
         acc = b
-        for is_o_digit in reversed(self._strip_digits(self.pred(x))):
-            acc = o(acc) if is_o_digit else succ(add(b, o(acc)))
+        for o_digit, n in reversed(self._strip_runs(self.pred(x))):
+            for _ in range(n):
+                acc = o(acc) if o_digit else succ(add(b, o(acc)))
         return succ(acc)
 
     def db(self, x: N) -> N:
@@ -366,7 +369,7 @@ class NatRep(ABC):
 
     def dual(self, x: N) -> N:
         """Swap every o digit with i and vice versa.  An involution."""
-        return self._from_digits([not is_o_digit for is_o_digit in self._strip_digits(x)])
+        return self._from_runs([(not o_digit, n) for o_digit, n in self._strip_runs(x)])
 
     def bitsize(self, x: N) -> N:
         """Digit count of x in bijective base 2, as a value of this representation."""
@@ -425,7 +428,7 @@ class NatRep(ABC):
         return acc
 
     # Run helpers.  The digit is a flag, True for o and False for i, as in
-    # _strip_digits.  cons/decons and the pairing codec are built on these
+    # _strip_runs.  cons/decons and the pairing codec are built on these
     # three, so a representation that can edit a whole run at once overrides
     # them and speeds those callers up without their knowing it; trees also
     # build their succ/pred on them.
@@ -459,46 +462,60 @@ class NatRep(ABC):
     # conversions
     # ------------------------------------------------------------------
 
-    def _strip_digits(self, x: N) -> list[bool]:
-        # Outermost digit first; True marks an o digit.
-        digits = []
-        is_e, is_o, o_inv, i_inv = self.is_e, self.is_o, self.o_inv, self.i_inv
+    # The one conversion format: a list of (digit, length) runs, outermost
+    # first, digits alternating, every length at least 1.  These two walk
+    # digits and stay the oracle; a representation holding runs overrides them.
+
+    def _strip_runs(self, x: N) -> list[tuple[bool, int]]:
+        runs = []
+        is_e, is_o, is_i, o_inv, i_inv = self.is_e, self.is_o, self.is_i, self.o_inv, self.i_inv
         while not is_e(x):
-            if is_o(x):
-                digits.append(True)
-                x = o_inv(x)
-            else:
-                digits.append(False)
-                x = i_inv(x)
-        return digits
+            o_digit = is_o(x)
+            is_d, d_inv = (is_o, o_inv) if o_digit else (is_i, i_inv)
+            n = 0
+            while is_d(x):
+                x = d_inv(x)
+                n += 1
+            runs.append((o_digit, n))
+        return runs
 
-    def _from_digits(self, digits: list[bool]) -> N:
-        # Inverse of _strip_digits: rebuild innermost digit first.
+    def _from_runs(self, runs: list[tuple[bool, int]]) -> N:
+        # inverse of _strip_runs: rebuild innermost run first
         x = self.e
-        o, i = self.o, self.i
-        for is_o_digit in reversed(digits):
-            x = o(x) if is_o_digit else i(x)
+        for o_digit, n in reversed(runs):
+            d = self.o if o_digit else self.i
+            for _ in range(n):
+                x = d(x)
         return x
-
-    # x + 1 in binary, leading 1 dropped, spells x's digits innermost first:
-    # a 0 bit is an o digit and a 1 bit an i digit.  Python converts ints
-    # to and from binary text in linear time.
 
     def from_int(self, k: int) -> N:
         """Build the value for a Python int."""
         if k < 0:
             raise DomainError("negative value")
-        return self._from_digits([bit == "0" for bit in reversed(bin(k + 1)[3:])])
+        return self._from_runs(int_runs(k))
 
     def to_int(self, x: N) -> int:
         """Numeric value as a Python int."""
-        bits = ["0" if is_o_digit else "1" for is_o_digit in reversed(self._strip_digits(x))]
-        return int("1" + "".join(bits), 2) - 1
+        return runs_int(self._strip_runs(x))
+
+
+# Only these two know the bit text: x + 1 in binary, leading 1 dropped and
+# the rest reversed, spells x's digits outermost first, 0 for o and 1 for i.
+# Python converts ints to and from binary text in linear time.
+
+_BIT_RUNS = re.compile("0+|1+")
+
+
+def int_runs(k: int) -> list[tuple[bool, int]]:
+    """The runs of the nonnegative int k, outermost first."""
+    return [(run[0] == "0", len(run)) for run in _BIT_RUNS.findall(bin(k + 1)[:2:-1])]
+
+
+def runs_int(runs: list[tuple[bool, int]]) -> int:
+    """The int with these runs; inverse of :func:`int_runs`."""
+    return int("1" + "".join([("0" if o_digit else "1") * n for o_digit, n in reversed(runs)]), 2) - 1
 
 
 def view(x, src: NatRep, dst: NatRep):
-    """Re-express a value of representation ``src`` in representation ``dst``.
-
-    Structural recursion over the digits; value preserving.
-    """
-    return dst._from_digits(src._strip_digits(x))
+    """Re-express a value of representation ``src`` in representation ``dst``, through its runs."""
+    return dst._from_runs(src._strip_runs(x))

@@ -23,14 +23,13 @@ cmp, add and sub read both operands a common stretch of runs at a time:
 add and sub run a bijective base-2 carry (or borrow) automaton that
 settles within two digits of a stretch, and cmp lets the operand that ends
 first, or else the innermost differing stretch, decide.  mul folds over
-the runs of x - 1, and from_int/to_int read and write whole runs of bits.
+the runs of x - 1, and a conversion reads or writes one counter per run.
 split drops its k digits a whole run at a time, so dividing by a power of
 two follows the run count and the depth, however long the runs.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from dataclasses import dataclass
 from random import Random
@@ -317,34 +316,23 @@ class TreeNatRep(NatRep):
             k, o_digit = gap, not o_digit  # the run goes, k - c - 1 to drop
         return LEAF, all_o or k is not LEAF
 
-    # Conversions read and write whole runs of bits: x + 1 in binary,
-    # leading 1 dropped and reversed, spells x's digits outermost first,
-    # a 0 bit for an o digit and a 1 bit for an i digit.
+    # A run is one counter: its length is the counter + 1.
 
-    def from_int(self, k: int) -> Tree:
-        if k < 0:
-            raise DomainError("negative value")
-        runs = _BIT_RUNS.findall(bin(k + 1)[:2:-1])
+    def _strip_runs(self, x: Tree) -> list[tuple[bool, int]]:
+        runs, o_digit = [], type(x) is VNode
+        for counter in () if x is LEAF else (x.head, *x.tail):
+            n = 1 if counter is LEAF else self.to_int(counter) + 1
+            if n > sys.maxsize:  # no list or string holds the run
+                raise DomainError("value too large to expand into an int")
+            runs.append((o_digit, n))
+            o_digit = not o_digit
+        return runs
+
+    def _from_runs(self, runs: list[tuple[bool, int]]) -> Tree:
         if not runs:
             return LEAF
-        counters = [LEAF if len(r) == 1 else self.from_int(len(r) - 1) for r in runs]
-        return (VNode if runs[0][0] == "0" else WNode)(counters[0], tuple(counters[1:]))
-
-    def to_int(self, x: Tree) -> int:
-        if x is LEAF:
-            return 0
-        bit = "0" if type(x) is VNode else "1"
-        parts = []
-        for counter in (x.head, *x.tail):
-            run = self.to_int(counter) + 1
-            if run > sys.maxsize:  # no string holds the run
-                raise DomainError("value too large to expand into an int")
-            parts.append(bit * run)
-            bit = "1" if bit == "0" else "0"
-        return int("1" + "".join(parts)[::-1], 2) - 1
-
-
-_BIT_RUNS = re.compile("0+|1+")
+        counters = [LEAF if n == 1 else self.from_int(n - 1) for _, n in runs]
+        return (VNode if runs[0][0] else WNode)(counters[0], tuple(counters[1:]))
 
 
 def _stretches(x: Tree, y: Tree):

@@ -1,7 +1,9 @@
 """Command-line interface: conversions, outputs, exit codes, benchmarks."""
 
+import random
 import sys
 
+from giantnat.bignat import print_decimal
 from giantnat.cli import bench_lines, convert_text, main
 
 MERSENNE45_TEXT = (
@@ -309,10 +311,11 @@ def test_special_dec_beyond_str_digit_limit(capsys):
 
 
 def test_convert_dec_tree_round_trip_beyond_str_digit_limit():
-    text = "7" + "0123456789" * 600
-    tree = convert_text("dec", "tree", text)
-    assert convert_text("tree", "dec", tree) == text
-    assert convert_text("tree", "bij", tree) == convert_text("dec", "bij", text)
+    big = print_decimal(random.Random(2013).getrandbits(100000) | 1 << 99999)  # 100 000 bits
+    for text in ("7" + "0123456789" * 600, big):
+        tree = convert_text("dec", "tree", text)
+        assert convert_text("tree", "dec", tree) == text
+        assert convert_text("tree", "bij", tree) == convert_text("dec", "bij", text)
 
 
 # ----------------------------------------------------------------------

@@ -269,7 +269,7 @@ def test_view_between_representations():
     for src in reps:
         for dst in reps:
             assert view(src.e, src, dst) == dst.e
-            for k in (1, 2, 41, 42, 255, 256, 12345):
+            for k in (1, 2, 41, 42, 255, 256, 12345, _LARGE["random100000"]):
                 assert view(src.from_int(k), src, dst) == dst.from_int(k)
     t42 = TREE.from_int(42)
     assert view(t42, TREE, BIGNAT) == 42
@@ -292,7 +292,7 @@ _LARGE = {
 
 @pytest.mark.parametrize("k", list(_LARGE.values()), ids=list(_LARGE))
 def test_from_int_to_int_round_trip_on_large_values(rep, k):
-    # the generic conversions, also on BIGNAT, which overrides both
+    # the generic conversions, also on BIGNAT, whose runs are its binary text
     x = NatRep.from_int(rep, k)
     if rep is BIGNAT:
         assert x == k

@@ -51,3 +51,22 @@ def test_tree_shortcuts_live_only_in_tree_overrides():
     tree = ast.parse((PACKAGE / "tree.py").read_text())
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert not {name for name in defined if name.endswith("_fast") or name == "vmul"}
+
+
+def test_bit_text_lives_only_in_core():
+    # core's int_runs/runs_int alone read and write a value's binary text;
+    # every representation converts through its runs instead
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if path.name != "core.py" and isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                base2 = node.func.id == "int" and (
+                    any(isinstance(a, ast.Constant) and a.value == 2 for a in node.args[1:])
+                    or any(k.arg == "base" for k in node.keywords))
+                assert node.func.id != "bin" and not base2, f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(b, ast.Name) and b.id == "NatRep" for b in node.bases):
+                defined = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+                defined |= {t.id for n in node.body if isinstance(n, ast.Assign)
+                            for t in n.targets if isinstance(t, ast.Name)}
+                assert not defined & {"from_int", "to_int"}, f"{path.name}: {node.name}"

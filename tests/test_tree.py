@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from giantnat import BIJ, DomainError, EQ, GT, LEAF, LT, NatRep, ParseError, TREE, VNode, WNode, view
+from giantnat import BIGNAT, BIJ, DomainError, EQ, GT, LEAF, LT, NatRep, ParseError, TREE, VNode, WNode, view
+from giantnat.core import int_runs
 from giantnat.bignat import oracle_bitsize
 from helpers import value_if_feasible
 from giantnat.numtheory import PRIME45, mersenne, mersenne45, perfect45
@@ -409,20 +410,33 @@ def test_mersenne45_divided_by_a_power_of_two():
 # ----------------------------------------------------------------------
 
 
+def _canonical(runs):
+    # digits alternate and every run holds at least one digit
+    return all(n >= 1 for _, n in runs) and all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
+
+
 def test_from_int_to_int_agree_with_generic():
+    # TREE converts through its run pair alone: check that pair against the
+    # generic digit walks, and every representation's runs against the
+    # canonical runs of k's bit text
     rng = random.Random(5000)
     ks = list(range(4097)) + [rng.getrandbits(rng.randrange(1, 5001)) for _ in range(200)]
     for k in ks:
-        x = TREE.from_int(k)
-        assert x == NatRep.from_int(TREE, k)
-        assert TREE.to_int(x) == NatRep.to_int(TREE, x) == k
+        runs = int_runs(k)
+        assert _canonical(runs)
+        x = TREE._from_runs(runs)
+        assert x == NatRep._from_runs(TREE, runs) and TREE.to_int(x) == k
+        assert TREE._strip_runs(x) == NatRep._strip_runs(TREE, x) == runs
+        for rep in (BIJ, BIGNAT):
+            assert rep._strip_runs(rep.from_int(k)) == runs
 
 
 def test_to_int_refuses_a_run_past_the_index_range():
     # the 6-level tower is 2^(2^65536) - 1: one run of 2^65536 o digits
     tower = parse_tree("V (V (V (V (V (V T []) []) []) []) []) []")
-    with pytest.raises(DomainError, match="too large"):
-        TREE.to_int(tower)
+    for expand in (TREE.to_int, lambda x: view(x, TREE, BIJ), lambda x: view(x, TREE, BIGNAT)):
+        with pytest.raises(DomainError, match="too large"):
+            expand(tower)
     assert TREE.to_int(tower.head) == (1 << 65536) - 1
 
 
