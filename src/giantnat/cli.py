@@ -142,6 +142,8 @@ def _cmd_bits(args) -> int:
         raise DomainError(f"bits {op} takes {arity} arguments, got {len(operands)}")
     if op == "not":
         bitlen = parse_decimal(operands[0])
+        if bitlen > DEFAULT_DEC_BITS_CAP:
+            raise DomainError(f"refusing bit length: more than {DEFAULT_DEC_BITS_CAP} bits")
         x = rep.from_int(parse_decimal(operands[1]))
         result = codecs.l_not(rep, bitlen, x)
     else:
@@ -330,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", choices=FORMATS, default="dec")
     p.set_defaults(fn=_cmd_decode)
 
-    p = sub.add_parser("bits", help="bitwise operations via the sparse-set view")
+    p = sub.add_parser("bits", help="bitwise operations, a run of bits at a time")
     p.add_argument("op", choices=("and", "or", "xor", "dif", "ite", "not"))
     p.add_argument("operands", nargs="+",
                    help="decimal operands; 'not' takes BITLEN VALUE, 'ite' takes three values")

@@ -1,12 +1,15 @@
 """Bijections between naturals and lists, multisets and sets of naturals,
-bitwise operations borrowed from ordered-set algebra, and a small layer of
-isomorphism combinators for moving operations between the views.
+ordered-set algebra and the bitwise operations that match it, and a small
+layer of isomorphism combinators for moving operations between the views.
 
 The base pairing is f(x, y) = 2^x * (2y + 1), a bijection from pairs onto
 the positive naturals.  Lists arise by iterating it; multisets and sets by
 prefix sums over lists.  A sparse set therefore encodes as the natural
 whose ordinary-binary 1-bits sit exactly at the set's elements, which the
-compressed tree representation keeps small.
+compressed tree representation keeps small.  The set operations on those
+naturals are bitwise operations, which ``NatRep.bitwise`` computes a run
+of bits at a time; the set view is never built for them, and ``l_op``
+transports any other set operation through it.
 
 Every function takes the representation as its first argument and uses
 only the :class:`~giantnat.core.NatRep` contract; nothing here tells one
@@ -17,7 +20,6 @@ the run helpers, which trees override with edits of the outermost node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable
 
 from .core import DomainError, NatRep, GT, LT
@@ -194,7 +196,8 @@ def set_symdiff(rep: NatRep, xs: list, ys: list) -> list:
 
 
 # ----------------------------------------------------------------------
-# Bitwise operations via the set view
+# Bitwise operations, a run of bits at a time through NatRep.bitwise; each
+# equals l_op with the matching set merge, without building the set views
 # ----------------------------------------------------------------------
 
 
@@ -204,28 +207,28 @@ def l_op(rep: NatRep, op: Callable, x, y):
 
 
 def l_and(rep: NatRep, x, y):
-    return l_op(rep, set_intersection, x, y)
+    """Bitwise and: the intersection of the set views."""
+    return rep.bitwise((0, 0, 0, 1), x, y)
 
 
 def l_or(rep: NatRep, x, y):
-    return l_op(rep, set_union, x, y)
+    """Bitwise or: the union of the set views."""
+    return rep.bitwise((0, 1, 1, 1), x, y)
 
 
 def l_xor(rep: NatRep, x, y):
-    return l_op(rep, set_symdiff, x, y)
+    """Bitwise exclusive or: the symmetric difference of the set views."""
+    return rep.bitwise((0, 1, 1, 0), x, y)
 
 
 def l_dif(rep: NatRep, x, y):
-    return l_op(rep, set_difference, x, y)
+    """x and not y: the difference of the set views."""
+    return rep.bitwise((0, 0, 1, 0), x, y)
 
 
 def l_ite(rep: NatRep, x, y, z):
     """Bitwise multiplexer: per bit, choose y's bit where x has a 1, else z's."""
-    cond = to_set(rep, x)
-    a = to_set(rep, y)
-    b = to_set(rep, z)
-    changed = set_intersection(rep, set_symdiff(rep, a, b), cond)
-    return from_set(rep, set_symdiff(rep, changed, b))
+    return l_xor(rep, z, l_and(rep, x, l_xor(rep, y, z)))
 
 
 def l_not(rep: NatRep, bitlen: int, x):
@@ -234,11 +237,10 @@ def l_not(rep: NatRep, bitlen: int, x):
     Requires every 1-bit of x to lie below ``bitlen`` (a wider operand has
     no complement in that window).
     """
-    xs = to_set(rep, x)
-    universe = list(islice(rep.all_from(rep.e), bitlen))
-    if xs and (bitlen == 0 or rep.cmp(xs[-1], universe[-1]) is GT):
+    ones = rep.from_int((1 << bitlen) - 1)
+    if rep.cmp(x, ones) is GT:
         raise DomainError("operand has bits at or above the requested bit length")
-    return from_set(rep, set_difference(rep, universe, xs))
+    return l_xor(rep, x, ones)
 
 
 # ----------------------------------------------------------------------

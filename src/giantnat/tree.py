@@ -25,7 +25,11 @@ settles within two digits of a stretch, and cmp lets the operand that ends
 first, or else the innermost differing stretch, decide.  mul folds over
 the runs of x - 1, and a conversion reads or writes one counter per run.
 split drops its k digits a whole run at a time, so dividing by a power of
-two follows the run count and the depth, however long the runs.
+two follows the run count and the depth, however long the runs.  bitwise
+merges the common stretches of x - 1 and y - 1, whose digits are the bits
+of x and y below their top 1 bits, and keeps or drops the rest of the
+longer operand whole, so sparse sets with elements past ``sys.maxsize``,
+whose runs no list holds, combine at node level.
 """
 
 from __future__ import annotations
@@ -295,6 +299,45 @@ class TreeNatRep(NatRep):
                 # k + 1 i digits: acc + 1 becomes 2^(k+1) (acc + 1 + y) - y
                 acc = self.sub(self.leftshift(_SUCC(k), self.add(acc, y1)), y1)
         return _SUCC(acc)
+
+    def bitwise(self, table: tuple[int, int, int, int], x: Tree, y: Tree) -> Tree:
+        # the digits of x - 1 and y - 1 are the bits of x and y below their
+        # top 1 bits (o as 0): each common stretch of them gives one run
+        if table[0]:
+            raise DomainError("a bitwise table mapping two 0 bits to 1 has no finite result")
+        if x is LEAF:
+            return y if table[1] else LEAF
+        if y is LEAF:
+            return x if table[2] else LEAF
+        a, b = _PRED(x), _PRED(y)
+        stretches, rest_a, rest_b = ([], a, b) if a is LEAF or b is LEAF else _stretches(a, b)
+        o_out = [not bit for bit in reversed(table)]  # index 2 xo + yo
+        runs: list = []
+        for ao, bo, k in stretches:
+            _put(runs, o_out[2 * ao + bo], k)
+        rest = None  # what is left of the longer operand, when it is kept
+        if rest_a is LEAF and rest_b is LEAF:  # the two top 1 bits meet
+            _put(runs, o_out[0], LEAF)
+        else:
+            # the shorter operand's top 1 bit meets the longer one's next
+            # digit; above it the longer operand's bits pass through
+            # table[1] (or table[2]) against 0 bits: kept whole or dropped
+            longer_y = rest_a is LEAF
+            longer = rest_b if longer_y else rest_a
+            lo = type(longer) is VNode
+            _put(runs, o_out[lo if longer_y else 2 * lo], LEAF)
+            if table[1] if longer_y else table[2]:
+                rest = self.o_inv(longer) if lo else self.i_inv(longer)
+        if rest is None:  # drop the 0 bits above the top 1 bit, then that bit
+            if runs and runs[-1][0]:
+                runs.pop()
+            if not runs:
+                return LEAF
+            k = runs.pop()[1]
+            if k is not LEAF:
+                runs.append((False, _PRED(k)))
+            rest = LEAF
+        return _SUCC(_node(runs, rest))
 
     def _drop_digits(self, k: Tree, x: Tree) -> tuple[Tree, bool]:
         # whole runs at a time: one walk of a run's counter c and of k gives

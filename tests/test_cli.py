@@ -1,7 +1,14 @@
 """Command-line interface: conversions, outputs, exit codes, benchmarks."""
 
+import contextlib
+import io
 import random
 import sys
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from giantnat.bignat import print_decimal
 from giantnat.cli import bench_lines, convert_text, main
@@ -206,6 +213,59 @@ def test_bits_arity_errors(capsys):
     assert code == 1 and "takes 2 arguments" in err
     code, _, err = run(capsys, "bits", "ite", "1", "2")
     assert code == 1 and "takes 3 arguments" in err
+
+
+@pytest.mark.parametrize("letter", ["t", "b", "n"])
+def test_bits_not_refuses_a_bit_length_past_the_cap(capsys, letter):
+    # refused before the window 2^BITLEN - 1 is built
+    for bitlen in ("100000000", "1000001"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bits", "not", bitlen, "5", "--rep", letter)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == "" and err.count("\n") == 1 and "refusing bit length" in err
+
+
+def test_bits_not_at_a_million_bits(capsys):
+    code, out, err = run(capsys, "bits", "not", "1000000", "5", "--rep", "n")
+    assert code == 0 and err == ""
+    assert _int_of(out) == ((1 << 10**6) - 1) ^ 5
+
+
+_BITS_ARITY = {"and": 2, "or": 2, "xor": 2, "dif": 2, "ite": 3, "not": 2}
+
+
+def _bits_oracle(op, texts):
+    # what `bits` must print, or None where it must refuse
+    if _BITS_ARITY.get(op) != len(texts) or not all(s.isascii() and s.isdigit() for s in texts):
+        return None
+    v = [int(s) for s in texts]
+    if op == "not":
+        return None if v[1] >> v[0] else ((1 << v[0]) - 1) ^ v[1]
+    x, y = v[0], v[1]
+    return {"and": x & y, "or": x | y, "xor": x ^ y, "dif": x & ~y,
+            "ite": (x & y) | (~x & v[-1])}[op]
+
+
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=4)
+# "--" alone ends option parsing and is dropped by argparse: not an operand
+_OPERAND = st.text(alphabet="0123456789-+. x\u0663", max_size=4).filter(lambda s: s != "--")
+
+
+@given(st.sampled_from([*_BITS_ARITY, "nand", "AND", "", "-x"]),
+       st.one_of(st.lists(_DIGITS, min_size=2, max_size=3), st.lists(_OPERAND, max_size=4)),
+       st.sampled_from([(), ("--rep", "t"), ("--rep", "b"), ("--rep", "n")]))
+@settings(max_examples=200, deadline=None)
+def test_bits_fuzz_exits_with_the_answer_or_one_error_line(op, texts, rep):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["bits", op, *texts, *rep])
+    want = _bits_oracle(op, texts)
+    if want is None:
+        assert code != 0 and out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert "Traceback" not in err.getvalue()
+    else:
+        assert (code, out.getvalue(), err.getvalue()) == (0, f"{want}\n", "")
 
 
 def test_dot_from_decimal(capsys):

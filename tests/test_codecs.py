@@ -1,11 +1,12 @@
 """Collection codecs, bitwise algebra, iso combinators."""
 
 import random
+import time
 
 import pytest
 
 from helpers import value_if_feasible
-from giantnat import BIGNAT, LEAF, TREE, DomainError, WNode
+from giantnat import BIGNAT, BIJ, LEAF, TREE, DomainError, WNode
 from giantnat.codecs import (
     Iso,
     as_,
@@ -37,7 +38,7 @@ from giantnat.codecs import (
     to_mset,
     to_set,
 )
-from giantnat.numtheory import PRIME45, mersenne, mersenne45, perfect45
+from giantnat.numtheory import PRIME45, fermat, mersenne, mersenne45, perfect45
 from giantnat.tree import node_count, print_tree, random_tree
 
 
@@ -303,6 +304,30 @@ def test_l_not_rejects_wide_operands(rep):
     with pytest.raises(DomainError):
         l_not(rep, 0, rep.from_int(1))
     assert rep.to_int(l_not(rep, 0, rep.e)) == 0
+
+
+def test_bitwise_equals_set_view_on_sparse_giants():
+    # 2^(2^20) + 1, {2^70, 2^80} and {3, 2^80}: the set views are short, the
+    # runs of bits between their elements too long for any list
+    giants = [fermat(TREE, TREE.from_int(20))]
+    giants += [from_set(TREE, vals(TREE, ks)) for ks in ((2**70, 2**80), (3, 2**80))]
+    ops = ((l_and, set_intersection), (l_or, set_union), (l_xor, set_symdiff), (l_dif, set_difference))
+    for x in giants:
+        for y in giants:
+            for op, merge in ops:
+                assert op(TREE, x, y) == l_op(TREE, merge, x, y)
+
+
+@pytest.mark.parametrize("rep_", [BIGNAT, BIJ], ids=["bignat", "bij"])
+def test_l_and_over_a_long_run_is_linear(rep_):
+    # 2^100000 - 1 has 100000 elements in its set view, but one run of bits
+    ones = rep_.from_int((1 << 100000) - 1)
+    k = random.Random(100000).getrandbits(100000)
+    x = rep_.from_int(k)
+    start = time.perf_counter()
+    got = l_and(rep_, ones, x)
+    assert time.perf_counter() - start < 1.0
+    assert got == x
 
 
 def test_l_op_transports_custom_operations():

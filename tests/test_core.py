@@ -336,6 +336,26 @@ def test_bitsize(rep):
         assert rep.to_int(rep.bitsize(rep.from_int(2**width - 1))) == width
 
 
+# every truth table with table[0] = 0, as the int it computes
+BIT_TABLES = {(0, a, b, c): (lambda x, y, a=a, b=b, c=c: (a and ~x & y) | (b and x & ~y) | (c and x & y))
+              for a in (0, 1) for b in (0, 1) for c in (0, 1)}
+
+
+def test_bitwise_tables_agree_with_int_formula(rep):
+    vals = [rep.from_int(k) for k in range(256)]
+    for table, formula in BIT_TABLES.items():
+        for x in range(256):
+            for y in range(256):
+                assert rep.bitwise(table, vals[x], vals[y]) == vals[formula(x, y)], (table, x, y)
+
+
+def test_bitwise_table_mapping_two_zero_bits_to_one_raises(rep):
+    for table in ((1, 0, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1)):
+        for x, y in ((0, 0), (5, 0), (0, 3), (5, 3)):
+            with pytest.raises(DomainError):
+                rep.bitwise(table, rep.from_int(x), rep.from_int(y))
+
+
 def test_repsize_defaults_to_bitsize():
     for rep_ in (BIGNAT, BIJ):
         for k in range(300):

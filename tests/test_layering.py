@@ -70,3 +70,16 @@ def test_bit_text_lives_only_in_core():
                 defined |= {t.id for n in node.body if isinstance(n, ast.Assign)
                             for t in n.targets if isinstance(t, ast.Name)}
                 assert not defined & {"from_int", "to_int"}, f"{path.name}: {node.name}"
+
+
+def test_bitwise_ops_never_build_the_set_view():
+    # l_and, l_or, ... call rep methods (bitwise) and each other, and raise
+    # DomainError; only l_op transports a set merge through the set views
+    for fn in ast.parse((PACKAGE / "codecs.py").read_text()).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("l_") and fn.name != "l_op":
+            for call in (node for node in ast.walk(fn) if isinstance(node, ast.Call)):
+                f = call.func
+                on_rep = isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "rep"
+                named = isinstance(f, ast.Name) and (
+                    f.id == "DomainError" or f.id.startswith("l_") and f.id != "l_op")
+                assert on_rep or named, f"{fn.name}:{call.lineno}"

@@ -11,7 +11,8 @@ from giantnat import BIGNAT, BIJ, DomainError, EQ, GT, LEAF, LT, NatRep, ParseEr
 from giantnat.core import int_runs
 from giantnat.bignat import oracle_bitsize
 from helpers import value_if_feasible
-from giantnat.numtheory import PRIME45, mersenne, mersenne45, perfect45
+from giantnat.codecs import from_set
+from giantnat.numtheory import PRIME45, fermat, mersenne, mersenne45, perfect45
 from giantnat.tree import (
     MAX_DEPTH,
     dag_to_dot,
@@ -359,6 +360,41 @@ def test_arith_on_deepest_towers():
     assert TREE.cmp(x, z) is LT and TREE.cmp(z, x) is GT
     assert TREE.sub(TREE.add(x, z), z) == x
     assert TREE.pred(TREE.sub(z, x)) == TREE.sub(TREE.pred(z), x)
+
+
+# ----------------------------------------------------------------------
+# bitwise over runs
+# ----------------------------------------------------------------------
+
+BIT_TABLES = [(0, a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+OR, AND, XOR = (0, 1, 1, 1), (0, 0, 0, 1), (0, 1, 1, 0)
+
+
+def test_bitwise_agrees_with_generic():
+    rng = random.Random(808)
+    trees = [t(k) for k in range(9)]
+    while len(trees) < 50:
+        x = random_tree(rng)
+        if value_if_feasible(x) is not None:
+            trees.append(x)
+    for x in trees:
+        for y in trees:
+            for table in BIT_TABLES:
+                assert TREE.bitwise(table, x, y) == NatRep.bitwise(TREE, table, x, y)
+
+
+def test_bitwise_identities_on_giants():
+    # dense (2^p - 1, 2^(p-1) (2^p - 1)), 2^(2^20) + 1 and two sparse sets
+    # with elements past sys.maxsize, which no run list or set view holds
+    sparse = [from_set(TREE, [t(k) for k in ks]) for ks in ((2**70, 2**80), (3, 2**80))]
+    pairs = [(mersenne45(), perfect45()), (perfect45(), fermat(TREE, t(20))), tuple(sparse)]
+    for x, y in pairs:
+        for a, b in ((x, y), (y, x)):
+            start = time.perf_counter()
+            o, n = TREE.bitwise(OR, a, b), TREE.bitwise(AND, a, b)
+            assert TREE.add(o, n) == TREE.add(a, b)
+            assert TREE.bitwise(XOR, a, b) == TREE.sub(o, n)
+            assert time.perf_counter() - start < 0.05
 
 
 # ----------------------------------------------------------------------
