@@ -11,10 +11,13 @@ is amortized constant time; a divergent extension copies the prefix once.
 
 from __future__ import annotations
 
+import re
+
 from .core import DomainError, ParseError, NatRep
 
 O_DIGIT = "o"
 I_DIGIT = "i"
+_DIGIT_RUNS = re.compile("o+|i+")
 
 
 class BijDigits:
@@ -105,6 +108,17 @@ class BijNatRep(NatRep):
     @staticmethod
     def is_i(x: BijDigits) -> bool:
         return x._len > 0 and x._buf[x._len - 1] == I_DIGIT
+
+    # The run pair over the digit buffer as one string: the generic pair
+    # walks it a digit at a time.
+
+    def _strip_runs(self, x: BijDigits) -> list[tuple[bool, int]]:
+        outermost_first = "".join(x._buf[: x._len])[::-1]
+        return [(run[0] == O_DIGIT, len(run)) for run in _DIGIT_RUNS.findall(outermost_first)]
+
+    def _from_runs(self, runs: list[tuple[bool, int]]) -> BijDigits:
+        digits = "".join([(O_DIGIT if o_digit else I_DIGIT) * n for o_digit, n in reversed(runs)])
+        return BijDigits(list(digits), len(digits))
 
 
 # ----------------------------------------------------------------------

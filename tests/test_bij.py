@@ -1,8 +1,11 @@
 """Digit-sequence representation: formats, sharing, size accounting."""
 
+import random
+
 import pytest
 
-from giantnat import BIGNAT, BIJ, ParseError, view
+from giantnat import BIGNAT, BIJ, NatRep, ParseError, view
+from giantnat.core import int_runs
 from giantnat.bignat import oracle_bitsize
 from giantnat.bij import BijDigits, digit_string, nested_form, parse_digit_string
 from giantnat.numtheory import mersenne
@@ -101,3 +104,18 @@ def test_digit_at_bounds():
 
 def test_direct_construction_matches_parser():
     assert BijDigits(list("oioii"), 5) == parse_digit_string("oioii")
+
+
+def test_run_pair_agrees_with_generic():
+    # BIJ's string run pair against the generic digit walks, the oracle
+    rng = random.Random(2000)
+    ks = list(range(4097)) + [rng.getrandbits(rng.randrange(1, 2001)) for _ in range(200)]
+    for k in ks:
+        runs = int_runs(k)
+        x = BIJ._from_runs(runs)
+        assert x == NatRep._from_runs(BIJ, runs)
+        assert BIJ._strip_runs(x) == NatRep._strip_runs(BIJ, x) == runs
+    # a value reads only its own digits of a buffer it shares with a longer one
+    x = BIJ.from_int(41)
+    BIJ.i(BIJ.o(x))
+    assert BIJ._strip_runs(x) == NatRep._strip_runs(BIJ, x) == int_runs(41)

@@ -1,6 +1,8 @@
 """Compressed-tree representation: primitives, fast overrides, DAG, text."""
 
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -14,9 +16,13 @@ from helpers import value_if_feasible
 from giantnat.codecs import from_set
 from giantnat.numtheory import PRIME45, fermat, mersenne, mersenne45, perfect45
 from giantnat.tree import (
+    _MEMO_SIZE,
     MAX_DEPTH,
+    _gap,
+    _join,
     dag_to_dot,
     fold_to_dag,
+    memo_stats,
     node_count,
     parse_tree,
     print_tree,
@@ -363,6 +369,117 @@ def test_arith_on_deepest_towers():
 
 
 # ----------------------------------------------------------------------
+# counter memos
+# ----------------------------------------------------------------------
+
+
+def _all_counters(x):
+    # x and every counter in it, at every level
+    out = [x]
+    if x is not LEAF:
+        for c in (x.head, *x.tail):
+            out += _all_counters(c)
+    return out
+
+
+def _tower(levels):
+    # one run whose counter is the tower one level lower
+    x = LEAF
+    for _ in range(levels):
+        x = VNode(x, ())
+    return x
+
+
+def test_counter_memos_agree_with_their_bodies():
+    # each memo gives what its undecorated body computes and, where the
+    # counters expand, what ints give: the order and |a - b| - 1, a + k + 1
+    rng = random.Random(909)
+    counters = [t(rng.getrandbits(rng.randrange(1, 80))) for _ in range(20)]
+    counters += [c for _ in range(10) for c in _all_counters(random_tree(rng, 3))]
+    for x in (mersenne45(), perfect45(), fermat(TREE, t(11)), fermat(TREE, t(20)),
+              _tower(6), TREE.exp2(TREE.exp2(t(2**40)))):
+        counters += _all_counters(x)
+    for a in counters:
+        va = value_if_feasible(a)
+        for b in rng.sample(counters, 12):
+            vb = value_if_feasible(b)
+            assert _join(a, b) == _join.__wrapped__(a, b)
+            if va is not None and vb is not None:
+                assert _join(a, b) == t(va + vb + 1)
+            if a == b:
+                continue
+            assert _gap(a, b) == _gap.__wrapped__(a, b)
+            if va is not None and vb is not None:
+                assert _gap(a, b) == (LT if va < vb else GT, t(abs(va - vb) - 1))
+
+
+def _random_arith(rng, count):
+    # results of cmp/add/sub/mul/xor on random (mostly giant) trees
+    out = []
+    for _ in range(count):
+        x, y = random_tree(rng), random_tree(rng)
+        order = TREE.cmp(x, y)
+        big, small = (y, x) if order is LT else (x, y)
+        out.append((order, TREE.add(x, y), TREE.sub(big, small), TREE.mul(x, y),
+                    TREE.bitwise(XOR, x, y)))
+    return out
+
+
+def test_counter_memos_stay_within_their_bound():
+    before = memo_stats()
+    _random_arith(random.Random(910), 600)
+    after = memo_stats()
+    assert after["gap"]["misses"] - before["gap"]["misses"] > _MEMO_SIZE  # it filled up
+    for name in ("gap", "join"):
+        assert after[name]["size"] <= _MEMO_SIZE
+        assert after[name]["hits"] >= before[name]["hits"]
+
+
+def test_results_equal_with_memos_cleared_and_warm():
+    rng = random.Random(911)
+    cold = []
+    for _ in range(100):  # each pair's ops start from empty memos
+        _gap.cache_clear()
+        _join.cache_clear()
+        cold += _random_arith(rng, 1)
+    hits = memo_stats()["gap"]["hits"]
+    warm = _random_arith(random.Random(911), 100)
+    assert memo_stats()["gap"]["hits"] > hits
+    assert warm == cold
+
+
+def test_threads_sharing_the_memos_agree_with_bignat():
+    def work(seed, failures):
+        rng = random.Random(seed)
+        try:
+            for _ in range(60):
+                a, b = (rng.getrandbits(rng.randrange(1, 400)) for _ in range(2))
+                x, y = t(a), t(b)
+                assert TREE.cmp(x, y).value == BIGNAT.cmp(a, b).value
+                assert TREE.to_int(TREE.add(x, y)) == BIGNAT.add(a, b)
+                assert TREE.to_int(TREE.sub(*((x, y) if a >= b else (y, x)))) == abs(a - b)
+                assert TREE.to_int(TREE.mul(x, t(b & 0xFFFF))) == BIGNAT.mul(a, b & 0xFFFF)
+        except Exception as exc:  # a wrong result or a library error, reported below
+            failures.append(exc)
+
+    # more threads than cores, switching often, so that they interleave
+    # inside the memos' lookups and inserts
+    failures = []
+    threads = [threading.Thread(target=work, args=(seed, failures)) for seed in (912, 913, 914)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not failures, failures
+
+
+# ----------------------------------------------------------------------
 # bitwise over runs
 # ----------------------------------------------------------------------
 
@@ -474,6 +591,21 @@ def test_to_int_refuses_a_run_past_the_index_range():
         with pytest.raises(DomainError, match="too large"):
             expand(tower)
     assert TREE.to_int(tower.head) == (1 << 65536) - 1
+
+
+def test_to_int_refuses_a_giant_counter_before_expanding_it():
+    # 2^(2^(2^40)) is one i digit, then a run whose counter has 2^40 - 1
+    # digits: refused from the counter's run lengths, never expanded
+    x = TREE.exp2(TREE.exp2(t(2**40)))
+    for expand in (TREE.to_int, lambda x: view(x, TREE, BIJ), lambda x: view(x, TREE, BIGNAT)):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="too large"):
+            expand(x)
+        assert time.perf_counter() - start < 0.1
+    # 2^k - 1 is one run of k o digits: sys.maxsize digits still fit a list
+    assert TREE._strip_runs(TREE.pred(TREE.exp2(t(sys.maxsize)))) == [(True, sys.maxsize)]
+    with pytest.raises(DomainError, match="too large"):
+        TREE._strip_runs(TREE.pred(TREE.exp2(t(sys.maxsize + 1))))
 
 
 def test_compression_witness_for_powers_of_two():
