@@ -40,14 +40,13 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from random import Random
 
 from .core import EQ, GT, LT, DomainError, NatRep, Ordering, ParseError, runs_int
 
-# Digits of the longest counter whose run, counter + 1 digits, fits an index.
+# A counter of d digits is at least 2^d - 1; its run, counter + 1 digits,
+# is sure to fit an index (sys.maxsize) only while d is at most this.
 _MAX_RUN_DIGITS = sys.maxsize.bit_length() - 1
-_length = itemgetter(1)
 
 
 class Tree:
@@ -371,25 +370,32 @@ class TreeNatRep(NatRep):
     # A run is one counter: its length is the counter + 1.
 
     def _strip_runs(self, x: Tree) -> list[tuple[bool, int]]:
-        runs, o_digit = [], type(x) is VNode
-        for counter in () if x is LEAF else (x.head, *x.tail):
-            if counter is LEAF:
-                runs.append((o_digit, 1))
-            else:
-                digits = self._strip_runs(counter)
-                # a counter of more digits than an index has bits makes a run
-                # no list or string holds: refuse before expanding the counter
-                if sum(map(_length, digits)) > _MAX_RUN_DIGITS:
-                    raise DomainError("value too large to expand into an int")
-                runs.append((o_digit, runs_int(digits) + 1))
-            o_digit = not o_digit
-        return runs
+        return _runs(x)[0]
 
     def _from_runs(self, runs: list[tuple[bool, int]]) -> Tree:
         if not runs:
             return LEAF
         counters = [LEAF if n == 1 else self.from_int(n - 1) for _, n in runs]
         return (VNode if runs[0][0] else WNode)(counters[0], tuple(counters[1:]))
+
+
+def _runs(x: Tree) -> tuple[list, int]:
+    # x's runs and its digit count.  A counter of more digits than an index
+    # has bits makes a run no list or string holds: it is refused from its
+    # own digit count, before runs_int expands it.
+    runs, digits, o_digit = [], 0, type(x) is VNode
+    for counter in () if x is LEAF else (x.head, *x.tail):
+        if counter is LEAF:
+            n = 1
+        else:
+            counter_runs, counter_digits = _runs(counter)
+            if counter_digits > _MAX_RUN_DIGITS:
+                raise DomainError("value too large to expand into an int")
+            n = runs_int(counter_runs) + 1
+        runs.append((o_digit, n))
+        digits += n
+        o_digit = not o_digit
+    return runs, digits
 
 
 def _stretches(x: Tree, y: Tree):
@@ -434,7 +440,8 @@ def _stretches(x: Tree, y: Tree):
 # nodes' structural hash and ==.  Each memo holds at most _MEMO_SIZE entries
 # (least recently used go first; an evicted entry is only recomputed): the
 # op lists of the three perfbench workloads on two seeds, then 30 fresh
-# random 2^11-digit pairs, left 312 entries in _gap's and 79 in _join's.
+# random 2^11-digit pairs, left 312 entries in _gap's and 79 in _join's;
+# the bound leaves three times that room.
 # succ and pred are not memoized: they cost less than a lookup.
 _MEMO_SIZE = 1024
 
