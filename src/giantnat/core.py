@@ -288,17 +288,16 @@ class NatRep(ABC):
         return self.mul(xx, self.pow(xx, self.i_inv(y)))
 
     def exp2(self, x: N) -> N:
-        """2 raised to x."""
-        acc = self._one
-        db, pred, is_e = self.db, self.pred, self.is_e
-        while not is_e(x):
-            acc = db(acc)
-            x = pred(x)
-        return acc
+        """2 raised to x: :meth:`leftshift` of one."""
+        return self.leftshift(x, self._one)
 
     def leftshift(self, x: N, y: N) -> N:
-        """y times 2 raised to x."""
-        return self.mul(self.exp2(x), y)
+        """y times 2 raised to x, by the paper's identity a4: 2^x y is one
+        more than x o digits on y - 1.  A representation that lays a whole
+        run at once in ``run_times`` makes this a node-level edit."""
+        if self.is_e(y):
+            return self.e
+        return self.succ(self.run_times(True, x, self.pred(y)))
 
     def div_and_rem(self, x: N, y: N) -> tuple[N, N]:
         """Quotient and remainder; domain error when y is zero.

@@ -2,11 +2,11 @@
 recursive workloads (Ackermann, Syracuse), all written against the generic
 contract so they run on every representation.
 
-Nothing here tells one representation from another.  On trees, mersenne
-and fermat inherit the fast exp2 override and perfect the leftshift one,
-with pred and succ stepping over whole runs, so numbers like
-2^43112609 - 1 stay a handful of nodes.  fastmod divides by a power of
-two, which div_and_rem hands to split.
+Nothing here tells one representation from another.  mersenne, fermat
+and perfect build on exp2 and leftshift, node-level on trees through the
+generic identity a4 and run_times, with pred and succ stepping over whole
+runs, so numbers like 2^43112609 - 1 stay a handful of nodes.  fastmod
+divides by a power of two, which div_and_rem hands to split.
 """
 
 from __future__ import annotations

@@ -11,28 +11,30 @@ few huge runs -- for instance 2^p - 1 -- stay tiny.
 Digit primitives touch only the outermost node plus one succ/pred on a
 counter.  :class:`TreeNatRep` overrides several derived operations with
 node-level edits: bitsize sums the outermost node's run counters, dual
-flips its tag, repsize counts nodes, and leftshift lays one o run under a
-single succ (exp2 is leftshift of one).  The run helpers (run_count,
+flips its tag and repsize counts nodes.  The run helpers (run_count,
 run_trim, run_times) are overridden too: a run is one counter of the
 outermost node, so each reads or edits that node, and the generic
-cons/decons and pairing codec built on them get the speed without knowing
-about trees.  succ and pred are overridden on top of those helpers: each
-turns a whole outermost run into a run of the other digit, so their cost
-follows the depth of the tree rather than the length of a run.
+cons/decons, pairing codec and leftshift built on them get the speed
+without knowing about trees: leftshift (exp2 is leftshift of one) lays one
+o run under a single succ, by the paper's identity a4.  succ and pred are
+overridden on top of those helpers: each turns a whole outermost run into
+a run of the other digit, so their cost follows the depth of the tree
+rather than the length of a run.
 cmp, add and sub read both operands a common stretch of runs at a time:
 add and sub run a bijective base-2 carry (or borrow) automaton that
 settles within two digits of a stretch, and cmp lets the operand that ends
 first, or else the innermost differing stretch, decide.  mul folds over
 the runs of x - 1, and a conversion reads or writes one counter per run.
-split drops its k digits a whole run at a time, so dividing by a power of
-two follows the run count and the depth, however long the runs.  bitwise
-merges the common stretches of x - 1 and y - 1, whose digits are the bits
-of x and y below their top 1 bits, and keeps or drops the rest of the
-longer operand whole, so sparse sets with elements past ``sys.maxsize``,
-whose runs no list holds, combine at node level.  The run walks memoize the
-two counter steps they repeat, the order and distance of two counters and
-the merge of two runs, so on operands of many short runs the cost follows
-the distinct counters rather than the stretches (see :func:`memo_stats`).
+split drops its k digits as the common stretches of x and the all-o value
+2^k - 1, a whole run at a time, so dividing by a power of two follows the
+run count and the depth, however long the runs.  bitwise merges the common
+stretches of x - 1 and y - 1, whose digits are the bits of x and y below
+their top 1 bits, and keeps or drops the rest of the longer operand whole,
+so sparse sets with elements past ``sys.maxsize``, whose runs no list
+holds, combine at node level.  The run walks memoize the two counter steps
+they repeat, the order and distance of two counters and the merge of two
+runs, so on operands of many short runs the cost follows the distinct
+counters rather than the stretches (see :func:`memo_stats`).
 """
 
 from __future__ import annotations
@@ -197,16 +199,6 @@ class TreeNatRep(NatRep):
         y = self.o(self.i_inv(r))
         return WNode(x.head, (y.head, *y.tail))
 
-    def exp2(self, x: Tree) -> Tree:
-        return self.leftshift(x, self._one)
-
-    def leftshift(self, k: Tree, y: Tree) -> Tree:
-        # 2^k*y is one more than k o digits on y-1, whatever the parity of y
-        # (the paper's identity a4)
-        if y is LEAF:
-            return LEAF
-        return _SUCC(self.run_times(True, k, _PRED(y)))
-
     def bitsize(self, x: Tree) -> Tree:
         # sum the run lengths read off the outermost node's counters
         if x is LEAF:
@@ -337,35 +329,21 @@ class TreeNatRep(NatRep):
             if table[1] if longer_y else table[2]:
                 rest = self.o_inv(longer) if lo else self.i_inv(longer)
         if rest is None:  # drop the 0 bits above the top 1 bit, then that bit
-            if runs and runs[-1][0]:
-                runs.pop()
-            if not runs:
+            if not _drop_top_i(runs):
                 return LEAF
-            k = runs.pop()[1]
-            if k is not LEAF:
-                runs.append((False, _PRED(k)))
             rest = LEAF
         return _SUCC(_node(runs, rest))
 
     def _drop_digits(self, k: Tree, x: Tree) -> tuple[Tree, bool]:
-        # whole runs at a time: one walk of a run's counter c and of k gives
-        # their order and distance; a run of c + 1 digits holding the k-th
-        # digit from the outside is cut there
-        if x is LEAF:
+        # the common stretches of x and the k-digit all-o value 2^k - 1 are
+        # x's k outermost digits, a whole run at a time; what is left of the
+        # second operand is the digits x lacks
+        if k is LEAF or x is LEAF:
+            return x, True
+        stretches, rest, rest_k = _stretches(x, VNode(_PRED(k), ()))
+        if rest_k is not LEAF:
             return LEAF, True
-        counters = (x.head, *x.tail)
-        o_digit, all_o = type(x) is VNode, True
-        for j, c in enumerate(counters):
-            if k is LEAF:
-                return _rest(o_digit, c, counters, j), all_o
-            all_o = all_o and o_digit
-            if c is k or c == k:  # k digits leave one of the run
-                return _rest(o_digit, LEAF, counters, j), all_o
-            order, gap = _gap(c, k)
-            if order is GT:  # k digits leave c - k + 1 of the run
-                return _rest(o_digit, _SUCC(gap), counters, j), all_o
-            k, o_digit = gap, not o_digit  # the run goes, k - c - 1 to drop
-        return LEAF, all_o or k is not LEAF
+        return rest, all(xo for xo, _, _ in stretches)
 
     # A run is one counter: its length is the counter + 1.
 
@@ -375,7 +353,15 @@ class TreeNatRep(NatRep):
     def _from_runs(self, runs: list[tuple[bool, int]]) -> Tree:
         if not runs:
             return LEAF
-        counters = [LEAF if n == 1 else self.from_int(n - 1) for _, n in runs]
+        # one counter per distinct run length, so equal counters are one
+        # object and compare by identity in the run walks and memos
+        made = {1: LEAF}
+        counters = []
+        for _, n in runs:
+            c = made.get(n)
+            if c is None:
+                c = made[n] = self.from_int(n - 1)
+            counters.append(c)
         return (VNode if runs[0][0] else WNode)(counters[0], tuple(counters[1:]))
 
 
@@ -509,17 +495,24 @@ def _diff(stretches: list, rest: Tree, rest_y: Tree) -> Tree:
     while borrow and rest is not LEAF:
         rest = _PRED(rest)
         borrow -= 1
-    if borrow:
-        # the digits so far minus 2^len: the innermost o digits pass the
-        # borrow on, the innermost i digit takes it
-        while runs and runs[-1][0]:
-            runs.pop()
-        if borrow == 2 or not runs:
-            raise DomainError("subtraction underflow")
-        k = runs.pop()[1]
-        if k is not LEAF:
-            runs.append((False, _PRED(k)))
+    # the digits so far minus 2^len: the innermost o digits pass the borrow
+    # on, the innermost i digit takes it
+    if borrow and (borrow == 2 or not _drop_top_i(runs)):
+        raise DomainError("subtraction underflow")
     return _node(runs, rest)
+
+
+def _drop_top_i(runs: list) -> bool:
+    # drop the innermost o run, then one digit of the i run under it; False
+    # when no i digit is left
+    if runs and runs[-1][0]:
+        runs.pop()
+    if not runs:
+        return False
+    k = runs.pop()[1]
+    if k is not LEAF:
+        runs.append((False, _PRED(k)))
+    return True
 
 
 def _rest(o_digit: bool, counter: Tree, counters: tuple, j: int) -> Tree:

@@ -202,6 +202,11 @@ def test_pow_exp2_leftshift(rep):
             got = rep.leftshift(rep.from_int(a), rep.from_int(b))
             assert rep.to_int(got) == (1 << a) * b
             assert got == rep.mul(rep.exp2(rep.from_int(a)), rep.from_int(b))
+    rng = random.Random(1900)
+    for _ in range(30):
+        k, y = rng.randrange(3001), rng.getrandbits(rng.randrange(1, 2001))
+        assert rep.to_int(rep.leftshift(rep.from_int(k), rep.from_int(y))) == y << k
+        assert rep.to_int(rep.exp2(rep.from_int(k))) == 1 << k
 
 
 def test_div_and_rem(rep):

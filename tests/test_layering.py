@@ -53,23 +53,46 @@ def test_tree_shortcuts_live_only_in_tree_overrides():
     assert not {name for name in defined if name.endswith("_fast") or name == "vmul"}
 
 
-def test_bit_text_lives_only_in_core():
-    # core's int_runs/runs_int alone read and write a value's binary text;
-    # every representation converts through its runs instead
+def _rep_classes():
+    # (module, class name, names it defines) for every NatRep subclass
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if path.name != "core.py" and isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                base2 = node.func.id == "int" and (
-                    any(isinstance(a, ast.Constant) and a.value == 2 for a in node.args[1:])
-                    or any(k.arg == "base" for k in node.keywords))
-                assert node.func.id != "bin" and not base2, f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ClassDef) and any(
                     isinstance(b, ast.Name) and b.id == "NatRep" for b in node.bases):
                 defined = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
                 defined |= {t.id for n in node.body if isinstance(n, ast.Assign)
                             for t in n.targets if isinstance(t, ast.Name)}
-                assert not defined & {"from_int", "to_int"}, f"{path.name}: {node.name}"
+                yield path.name, node.name, defined
+
+
+def test_bit_text_lives_only_in_core():
+    # core's int_runs/runs_int alone read and write a value's binary text;
+    # every representation converts through its runs instead
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                base2 = node.func.id == "int" and (
+                    any(isinstance(a, ast.Constant) and a.value == 2 for a in node.args[1:])
+                    or any(k.arg == "base" for k in node.keywords))
+                assert node.func.id != "bin" and not base2, f"{path.name}:{node.lineno}"
+    for module, name, defined in _rep_classes():
+        assert not defined & {"from_int", "to_int"}, f"{module}: {name}"
+
+
+def test_exp2_and_leftshift_have_one_definition():
+    # NatRep derives both from identity a4 on run_times; a representation
+    # speeds them up through run_times, never with a second definition
+    classes = list(_rep_classes())
+    assert {name for _, name, _ in classes} >= {"BigNatRep", "BijNatRep", "TreeNatRep"}
+    for module, name, defined in classes:
+        assert not defined & {"exp2", "leftshift"}, f"{module}: {name}"
+    natrep = next(node for node in ast.parse((PACKAGE / "core.py").read_text()).body
+                  if isinstance(node, ast.ClassDef) and node.name == "NatRep")
+    for fn in natrep.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("exp2", "leftshift"):
+            assert not any(isinstance(n, (ast.For, ast.While)) for n in ast.walk(fn)), fn.name
 
 
 def test_bitwise_ops_never_build_the_set_view():
