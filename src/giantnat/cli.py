@@ -86,6 +86,8 @@ _SPECIAL_BUILDERS = {
 
 
 def _cmd_special(args) -> int:
+    if args.max_dec_bits < 0:
+        raise DomainError(f"--max-dec-bits needs a nonnegative bit count, got {args.max_dec_bits}")
     value = _SPECIAL_BUILDERS[args.kind](TREE.from_int(args.p))
     out = args.output
     if out == "tree":

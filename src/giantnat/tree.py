@@ -17,9 +17,11 @@ outermost node, so each reads or edits that node, and the generic
 cons/decons, pairing codec and leftshift built on them get the speed
 without knowing about trees: leftshift (exp2 is leftshift of one) lays one
 o run under a single succ, by the paper's identity a4.  succ and pred are
-overridden on top of those helpers: each turns a whole outermost run into
-a run of the other digit, so their cost follows the depth of the tree
-rather than the length of a run.
+single node edits, one case per shape of the outermost node as in the
+paper: either the outermost digit turns into the other one, or the whole
+outermost run does and the digit under it turns.  Each builds one new node
+with at most one succ or pred on a counter, so their cost follows the
+depth of the tree rather than the length of a run.
 cmp, add and sub read both operands a common stretch of runs at a time:
 add and sub run a bijective base-2 carry (or borrow) automaton that
 settles within two digits of a stretch, and cmp lets the operand that ends
@@ -174,30 +176,30 @@ class TreeNatRep(NatRep):
     def is_i(x: Tree) -> bool:
         return type(x) is WNode
 
-    # fast overrides; semantics identical to the generic definitions
+    # fast overrides; semantics identical to the generic definitions, which
+    # stay their oracle.  succ and pred build one node each, one case per
+    # shape of the outermost node, with at most one succ or pred on a counter.
 
     def succ(self, x: Tree) -> Tree:
-        if type(x) is not WNode:  # zero or odd: flip the outer digit
-            return self.i(self.o_inv(x)) if x is not LEAF else VNode(LEAF, ())
-        # an i run over r (zero or odd) becomes an o run as long over r + 1
-        r = self.run_trim(False, x)
-        if r is LEAF:
+        t = type(x)
+        if t is VNode:  # the outermost o digit becomes an i digit
+            return _flip(WNode, x.head, x.tail)
+        if t is WNode:  # an i run over r becomes an o run as long over r + 1
+            if x.tail:
+                return _flip_under(VNode, x.head, x.tail)
             return VNode(_SUCC(x.head), ())
-        y = self.i(self.o_inv(r))
-        return VNode(x.head, (y.head, *y.tail))
+        return VNode(LEAF, ())
 
     def pred(self, x: Tree) -> Tree:
-        if type(x) is not VNode:  # zero or even: flip the outer digit
-            if x is LEAF:
-                raise DomainError("predecessor of zero")
-            return self.o(self.i_inv(x))
-        # an o run over r (zero or even) becomes an i run as long over r - 1;
-        # o^k(0) - 1 is i^(k-1)(0)
-        r = self.run_trim(True, x)
-        if r is LEAF:
+        t = type(x)
+        if t is WNode:  # the outermost i digit becomes an o digit
+            return _flip(VNode, x.head, x.tail)
+        if t is VNode:  # an o run over r becomes an i run as long over r - 1
+            if x.tail:
+                return _flip_under(WNode, x.head, x.tail)
+            # o^k(0) - 1 is i^(k-1)(0)
             return WNode(_PRED(x.head), ()) if x.head is not LEAF else LEAF
-        y = self.o(self.i_inv(r))
-        return WNode(x.head, (y.head, *y.tail))
+        raise DomainError("predecessor of zero")
 
     def bitsize(self, x: Tree) -> Tree:
         # sum the run lengths read off the outermost node's counters
@@ -363,6 +365,27 @@ class TreeNatRep(NatRep):
                 c = made[n] = self.from_int(n - 1)
             counters.append(c)
         return (VNode if runs[0][0] else WNode)(counters[0], tuple(counters[1:]))
+
+
+def _flip(node: type, head: Tree, tail: tuple) -> Tree:
+    # the runs head, *tail with their outermost digit turned into node's,
+    # the second run's digit: succ of an odd value, pred of an even one
+    if head is not LEAF:
+        return node(LEAF, (_PRED(head), *tail))
+    if tail:
+        return node(_SUCC(tail[0]), tail[1:])
+    return node(LEAF, ())
+
+
+def _flip_under(node: type, head: Tree, tail: tuple) -> Tree:
+    # a run of head + 1 of node's digits over the runs tail, flipped as in
+    # _flip: succ of an even value, pred of an odd one with a second run
+    c = tail[0]
+    if c is not LEAF:
+        return node(head, (LEAF, _PRED(c), *tail[1:]))
+    if len(tail) > 1:
+        return node(head, (_SUCC(tail[1]), *tail[2:]))
+    return node(head, (LEAF,))
 
 
 def _runs(x: Tree) -> tuple[list, int]:

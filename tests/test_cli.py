@@ -127,6 +127,12 @@ def test_special_dec_cap_override(capsys):
     assert code == 0 and int(out) == 2**4099 - 1
 
 
+def test_special_rejects_a_negative_dec_cap(capsys):
+    code, out, err = run(capsys, "special", "mersenne", "5", "--output", "dec", "--max-dec-bits", "-1")
+    assert code == 1 and out == ""
+    assert err == "giantnat: error: --max-dec-bits needs a nonnegative bit count, got -1\n"
+
+
 def test_special_perfect_needs_two(capsys):
     code, _, err = run(capsys, "special", "perfect", "1", "--output", "dec")
     assert code == 1 and "p >= 2" in err

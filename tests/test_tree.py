@@ -15,6 +15,7 @@ from giantnat.bignat import oracle_bitsize
 from helpers import value_if_feasible
 from giantnat.codecs import from_set
 from giantnat.numtheory import PRIME45, fermat, mersenne, mersenne45, perfect45
+from giantnat import tree as tree_module
 from giantnat.tree import (
     _MEMO_SIZE,
     MAX_DEPTH,
@@ -211,7 +212,7 @@ def test_cons_decons_fast_reference_values():
 
 
 # ----------------------------------------------------------------------
-# succ / pred over whole runs
+# succ / pred as one node edit each
 # ----------------------------------------------------------------------
 
 
@@ -221,6 +222,70 @@ def test_succ_pred_agree_with_generic():
         assert TREE.succ(x) == NatRep.succ(TREE, x)
         if k:
             assert TREE.pred(x) == NatRep.pred(TREE, x)
+
+
+# One input per case of succ and of pred, by the shape of the outermost
+# node, with the result as tree text
+SUCC_CASES = [
+    ("V (V T []) [T]", "W T [T,T]"),  # o run of 2 digits: its first turns i
+    ("V T [V T []]", "W (W T []) []"),  # one o digit joins the i run under it
+    ("V T []", "W T []"),  # one o digit, nothing under it
+    ("W (V T []) []", "V (W T []) []"),  # only an i run: an o run one digit longer
+    ("W T [V T []]", "V T [T,T]"),  # i run over an o run of 2 digits
+    ("W T [T,V T []]", "V T [W T []]"),  # i run over one o digit over an i run
+    ("W T [T]", "V T [T]"),  # i run over one o digit, nothing under it
+]
+PRED_CASES = [
+    ("W (V T []) [T]", "V T [T,T]"),
+    ("W T [V T []]", "V (W T []) []"),
+    ("W T []", "V T []"),
+    ("V (V T []) []", "W T []"),  # only an o run: an i run one digit shorter
+    ("V T []", "T"),  # one o digit is one
+    ("V T [V T []]", "W T [T,T]"),
+    ("V T [T,V T []]", "W T [W T []]"),
+    ("V T [T]", "W T [T]"),
+]
+
+
+@pytest.mark.parametrize("op, cases", [("succ", SUCC_CASES), ("pred", PRED_CASES)])
+def test_succ_pred_one_case_per_outermost_node_shape(op, cases):
+    for text, want in cases:
+        x = parse_tree(text)
+        got = getattr(TREE, op)(x)
+        assert print_tree(got) == want, text
+        assert got == getattr(NatRep, op)(TREE, x), text
+
+
+def test_succ_pred_build_one_node_per_call(monkeypatch):
+    # Node constructions counted as perfbench's tracer counts them, through
+    # a wrapped __init__; what the one counter step (_SUCC or _PRED) builds
+    # is its own and is not counted here.  Composing the result from digit
+    # steps would build two to four nodes.
+    counts = {"nodes": 0, "steps": 0}
+    for cls in (VNode, WNode):
+        def counting_init(node, head, tail, init=cls.__init__):
+            counts["nodes"] += 1
+            init(node, head, tail)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    for name in ("_SUCC", "_PRED"):
+        def uncounted(x, step=getattr(tree_module, name)):
+            counts["steps"] += 1
+            outer = dict(counts)
+            try:
+                return step(x)
+            finally:
+                counts.update(outer)
+
+        monkeypatch.setattr(tree_module, name, uncounted)
+    values = [parse_tree(text) for text, _ in SUCC_CASES + PRED_CASES]
+    values += [t(k) for k in range(1, 300)] + _giants()
+    for x in values:
+        for op in (TREE.succ, TREE.pred):
+            counts.update(nodes=0, steps=0)
+            y = op(x)
+            assert counts["nodes"] == (y is not LEAF), print_tree(x)
+            assert counts["steps"] <= 1, print_tree(x)
 
 
 # ----------------------------------------------------------------------
@@ -249,9 +314,24 @@ def _giants():
 
 
 def test_succ_pred_invert_each_other_on_giants():
+    # each result also against the node-level digit steps that compose it:
+    # the outermost digit flipped, or the outermost run flipped over the
+    # successor (predecessor) of the rest
     for x in _giants():
-        assert TREE.pred(TREE.succ(x)) == x
-        assert TREE.succ(TREE.pred(x)) == x
+        s, p = TREE.succ(x), TREE.pred(x)
+        assert TREE.pred(s) == x
+        assert TREE.succ(p) == x
+        if TREE.is_o(x):
+            assert s == TREE.i(TREE.o_inv(x))
+            k, rest = TREE.run_count(True, x), TREE.run_trim(True, x)
+            if TREE.is_e(rest):
+                assert p == TREE.run_times(False, TREE.pred(k), LEAF)
+            else:
+                assert p == TREE.run_times(False, k, TREE.pred(rest))
+        else:
+            assert p == TREE.o(TREE.i_inv(x))
+            k, rest = TREE.run_count(False, x), TREE.run_trim(False, x)
+            assert s == TREE.run_times(True, k, TREE.succ(rest))
 
 
 def test_cons_decons_round_trip_on_giants():
