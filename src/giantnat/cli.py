@@ -54,6 +54,13 @@ def _render_value(fmt: str, value) -> str:
     return digit_string(value)
 
 
+def _nonnegative(value: int, who: str, what: str) -> int:
+    # an int argument that must not be negative, refused by name
+    if value < 0:
+        raise DomainError(f"{who} needs a nonnegative {what}, got {value}")
+    return value
+
+
 def _check_cap(size, cap: int, what: str, unit: str, hint: str = "") -> None:
     # Refuse output whose size, a tree, exceeds cap; compared as trees, so a
     # giant size is never expanded.
@@ -86,9 +93,9 @@ _SPECIAL_BUILDERS = {
 
 
 def _cmd_special(args) -> int:
-    if args.max_dec_bits < 0:
-        raise DomainError(f"--max-dec-bits needs a nonnegative bit count, got {args.max_dec_bits}")
-    value = _SPECIAL_BUILDERS[args.kind](TREE.from_int(args.p))
+    _nonnegative(args.max_dec_bits, "--max-dec-bits", "bit count")
+    p = _nonnegative(args.p, f"special {args.kind}", "p")
+    value = _SPECIAL_BUILDERS[args.kind](TREE.from_int(p))
     out = args.output
     if out == "tree":
         print(print_tree(value))
@@ -280,24 +287,23 @@ def _cmd_bench(args) -> int:
 
 def _cmd_nsyr(args) -> int:
     rep = _LETTER_REP[args.rep]
-    seq = numtheory.nsyr(rep, rep.from_int(args.n))
+    seq = numtheory.nsyr(rep, rep.from_int(_nonnegative(args.n, "nsyr", "n")))
     print(",".join(print_decimal(rep.to_int(v)) for v in seq))
     return 0
 
 
 def _cmd_primes(args) -> int:
-    if args.k < 0:
-        raise DomainError(f"primes needs a nonnegative count, got {args.k}")
     rep = _LETTER_REP[args.rep]
-    firsts = islice(numtheory.primes(rep), args.k)
+    firsts = islice(numtheory.primes(rep), _nonnegative(args.k, "primes", "count"))
     print(",".join(print_decimal(rep.to_int(p)) for p in firsts))
     return 0
 
 
 def _cmd_ack(args) -> int:
     rep = _LETTER_REP[args.rep]
-    v = numtheory.ack(rep, rep.from_int(args.m), rep.from_int(args.n))
-    print(print_decimal(rep.to_int(v)))
+    m = rep.from_int(_nonnegative(args.m, "ack", "m"))
+    n = rep.from_int(_nonnegative(args.n, "ack", "n"))
+    print(print_decimal(rep.to_int(numtheory.ack(rep, m, n))))
     return 0
 
 
@@ -334,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", choices=FORMATS, default="dec")
     p.set_defaults(fn=_cmd_decode)
 
-    p = sub.add_parser("bits", help="bitwise operations, a run of bits at a time")
+    p = sub.add_parser("bits", help="bitwise operations, the set algebra of the sparse-set views")
     p.add_argument("op", choices=("and", "or", "xor", "dif", "ite", "not"))
     p.add_argument("operands", nargs="+",
                    help="decimal operands; 'not' takes BITLEN VALUE, 'ite' takes three values")

@@ -7,9 +7,10 @@ the positive naturals.  Lists arise by iterating it; multisets and sets by
 prefix sums over lists.  A sparse set therefore encodes as the natural
 whose ordinary-binary 1-bits sit exactly at the set's elements, which the
 compressed tree representation keeps small.  The set operations on those
-naturals are bitwise operations, which ``NatRep.bitwise`` computes a run
-of bits at a time; the set view is never built for them, and ``l_op``
-transports any other set operation through it.
+naturals are bitwise operations, which ``NatRep.bitwise`` defines on
+Python ints and trees compute a run of bits at a time; the set view is
+never built for them, and ``l_op`` transports any other set operation
+through it.
 
 Every function takes the representation as its first argument and uses
 only the :class:`~giantnat.core.NatRep` contract; nothing here tells one
@@ -196,7 +197,7 @@ def set_symdiff(rep: NatRep, xs: list, ys: list) -> list:
 
 
 # ----------------------------------------------------------------------
-# Bitwise operations, a run of bits at a time through NatRep.bitwise; each
+# Bitwise operations through NatRep.bitwise; each
 # equals l_op with the matching set merge, without building the set views
 # ----------------------------------------------------------------------
 

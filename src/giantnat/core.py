@@ -372,12 +372,7 @@ class NatRep(ABC):
 
     def bitsize(self, x: N) -> N:
         """Digit count of x in bijective base 2, as a value of this representation."""
-        n = self.e
-        is_e, is_o, o_inv, i_inv, succ = self.is_e, self.is_o, self.o_inv, self.i_inv, self.succ
-        while not is_e(x):
-            x = o_inv(x) if is_o(x) else i_inv(x)
-            n = succ(n)
-        return n
+        return self.from_int(sum(n for _, n in self._strip_runs(x)))
 
     def repsize(self, x: N) -> N:
         """Representation size; for digit-string representations this is bitsize."""
@@ -415,31 +410,13 @@ class NatRep(ABC):
         (0, 1, 1, 0) and x and not y (0, 0, 1, 0).
 
         ``table[0]`` must be 0, or the result would have infinitely many 1
-        bits.  Both operands are read as runs of bits (see ``_bit_runs``),
-        and each common stretch of two runs gives one run of the result.
+        bits.  This is the definition, on Python ints; a representation
+        whose values can outgrow an int overrides it.
         """
         if table[0]:
             raise DomainError("a bitwise table mapping two 0 bits to 1 has no finite result")
-        xs, ys = _bit_runs(self._strip_runs(x)), _bit_runs(self._strip_runs(y))
-        pad = sum(n for _, n in xs) - sum(n for _, n in ys)
-        if pad:  # 0 bits above the shorter operand's top
-            (ys if pad > 0 else xs).append((True, abs(pad)))
-        o_out = [not bit for bit in reversed(table)]  # o is a 0 bit: index 2 xo + yo
-        out: list[tuple[bool, int]] = []
-        next_y, yn = iter(ys).__next__, 0
-        for xo, xn in xs:
-            while xn:
-                if not yn:
-                    yo, yn = next_y()
-                n = xn if xn < yn else yn
-                d = o_out[2 * xo + yo]
-                if out and out[-1][0] == d:
-                    out[-1] = (d, out[-1][1] + n)
-                else:
-                    out.append((d, n))
-                xn -= n
-                yn -= n
-        return self._from_runs(_value_runs(out))
+        a, b = self.to_int(x), self.to_int(y)
+        return self.from_int((table[1] and ~a & b) | (table[2] and a & ~b) | (table[3] and a & b))
 
     def to_list_alt(self, x: N) -> list[N]:
         """Run-splitting bijection from values to lists, via repeated decons."""
@@ -545,71 +522,6 @@ def int_runs(k: int) -> list[tuple[bool, int]]:
 def runs_int(runs: list[tuple[bool, int]]) -> int:
     """The int with these runs; inverse of :func:`int_runs`."""
     return int("1" + "".join([("0" if o_digit else "1") * n for o_digit, n in reversed(runs)]), 2) - 1
-
-
-# Runs of bits: the binary bits of x >= 1, lowest first, are the digits of
-# x - 1 outermost first, o as 0 and i as 1, then one top 1 bit; bitwise reads
-# and writes them in the runs format.  The steps between x and x - 1 are
-# edits of the outermost runs, never a walk of a run's digits.
-
-
-def _joined(head: list, rest: list) -> list:
-    # head, whose last run may be empty, then rest; the two runs either side
-    # of an empty one hold the same digit and merge
-    if head[-1][1]:
-        return head + rest
-    head.pop()
-    if head and rest:
-        return [*head[:-1], (rest[0][0], head[-1][1] + rest[0][1]), *rest[1:]]
-    return head + rest
-
-
-def _pred_runs(runs: list) -> list:
-    # runs of x - 1 from those of x >= 1
-    (o_digit, k), rest = runs[0], runs[1:]
-    if not o_digit:  # i^k r -> o i^(k-1) r
-        return _joined([(True, 1), (False, k - 1)], rest)
-    if not rest:  # o^k -> i^(k-1)
-        return _joined([(False, k - 1)], rest)
-    # o^k i^m r -> i^k o i^(m-1) r
-    return _joined([(False, k), (True, 1), (False, rest[0][1] - 1)], rest[1:])
-
-
-def _succ_runs(runs: list) -> list:
-    # runs of x + 1 from those of x
-    if not runs:
-        return [(True, 1)]
-    (o_digit, k), rest = runs[0], runs[1:]
-    if o_digit:  # o^k r -> i o^(k-1) r
-        return _joined([(False, 1), (True, k - 1)], rest)
-    if not rest:  # i^k -> o^(k+1)
-        return [(True, k + 1)]
-    # i^k o^m r -> o^k i o^(m-1) r
-    return _joined([(True, k), (False, 1), (True, rest[0][1] - 1)], rest[1:])
-
-
-def _bit_runs(runs: list) -> list:
-    """Runs of x's binary bits, lowest first, o as 0, from x's runs; [] for 0."""
-    if not runs:
-        return []
-    bits = _pred_runs(runs)
-    if bits and not bits[-1][0]:  # the top 1 bit
-        bits[-1] = (False, bits[-1][1] + 1)
-    else:
-        bits.append((False, 1))
-    return bits
-
-
-def _value_runs(bits: list) -> list:
-    """Inverse of :func:`_bit_runs`; 0 bits above the top 1 are dropped."""
-    if bits and bits[-1][0]:
-        bits.pop()
-    if not bits:
-        return []
-    n = bits.pop()[1]  # the top 1 bit goes
-    if n > 1:
-        bits.append((False, n - 1))
-    return _succ_runs(bits)
 
 
 def view(x, src: NatRep, dst: NatRep):

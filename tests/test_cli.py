@@ -302,6 +302,20 @@ def test_primes_rejects_negative_count(capsys):
     assert err.startswith("giantnat: error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["nsyr", "-3"], "nsyr needs a nonnegative n, got -3"),
+    (["ack", "-1", "2"], "ack needs a nonnegative m, got -1"),
+    (["ack", "2", "-1"], "ack needs a nonnegative n, got -1"),
+    (["special", "mersenne", "-5"], "special mersenne needs a nonnegative p, got -5"),
+    (["special", "fermat", "-5"], "special fermat needs a nonnegative p, got -5"),
+    (["special", "perfect", "-5"], "special perfect needs a nonnegative p, got -5"),
+])
+def test_negative_int_arguments_are_refused_by_name(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"giantnat: error: {named}\n"
+
+
 def test_ack_command(capsys):
     assert run(capsys, "ack", "3", "5")[1] == "253\n"
     assert run(capsys, "ack", "0", "9", "--rep", "b")[1] == "10\n"

@@ -81,6 +81,16 @@ def test_bit_text_lives_only_in_core():
         assert not defined & {"from_int", "to_int"}, f"{module}: {name}"
 
 
+def _natrep_methods():
+    natrep = next(node for node in ast.parse((PACKAGE / "core.py").read_text()).body
+                  if isinstance(node, ast.ClassDef) and node.name == "NatRep")
+    return {fn.name: fn for fn in natrep.body if isinstance(fn, ast.FunctionDef)}
+
+
+def _has_loop(fn) -> bool:
+    return any(isinstance(n, (ast.For, ast.While)) for n in ast.walk(fn))
+
+
 def test_exp2_and_leftshift_have_one_definition():
     # NatRep derives both from identity a4 on run_times; a representation
     # speeds them up through run_times, never with a second definition
@@ -88,11 +98,15 @@ def test_exp2_and_leftshift_have_one_definition():
     assert {name for _, name, _ in classes} >= {"BigNatRep", "BijNatRep", "TreeNatRep"}
     for module, name, defined in classes:
         assert not defined & {"exp2", "leftshift"}, f"{module}: {name}"
-    natrep = next(node for node in ast.parse((PACKAGE / "core.py").read_text()).body
-                  if isinstance(node, ast.ClassDef) and node.name == "NatRep")
-    for fn in natrep.body:
-        if isinstance(fn, ast.FunctionDef) and fn.name in ("exp2", "leftshift"):
-            assert not any(isinstance(n, (ast.For, ast.While)) for n in ast.walk(fn)), fn.name
+    methods = _natrep_methods()
+    for name in ("exp2", "leftshift"):
+        assert not _has_loop(methods[name]), name
+
+
+def test_generic_bitwise_has_no_run_merge():
+    # NatRep.bitwise is the int definition; the one merge over runs of bits
+    # is the tree override's, never a second copy in core
+    assert not _has_loop(_natrep_methods()["bitwise"])
 
 
 def test_bitwise_ops_never_build_the_set_view():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from giantnat import BIGNAT, BIJ, DomainError, EQ, GT, LEAF, LT, NatRep, ParseError, TREE, VNode, WNode, view
-from giantnat.core import int_runs
+from giantnat.core import int_runs, runs_int
 from giantnat.bignat import oracle_bitsize
 from helpers import value_if_feasible
 from giantnat.codecs import from_set
@@ -164,8 +164,8 @@ def test_leftshift_fast_on_giant_arguments():
 def test_bitsize_fast_agrees_with_generic():
     assert TREE.bitsize(LEAF) == LEAF
     assert TREE.to_int(TREE.bitsize(t(42))) == 5
-    for k in range(2049):
-        assert TREE.bitsize(t(k)) == NatRep.bitsize(TREE, t(k))
+    for x in [t(k) for k in range(2049)] + [mersenne45()]:
+        assert TREE.bitsize(x) == NatRep.bitsize(TREE, x)
 
 
 def test_bitsize_fast_mersenne45():
@@ -571,6 +571,20 @@ BIT_TABLES = [(0, a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 OR, AND, XOR = (0, 1, 1, 1), (0, 0, 0, 1), (0, 1, 1, 0)
 
 
+def _long_run_operands(rng, n):
+    # an odd and an even operand of n digits: a long outer run closed by a
+    # short one, and random digits with the expected run-length profile (half
+    # the runs of length 1, a quarter of length 2, ...) in shuffled order
+    r, s = rng.randrange(1, 33), rng.randrange(1, 33)
+    yield runs_int([(True, n - r), (False, r)])
+    yield runs_int([(False, n - s), (True, s)])
+    profile = [length for length in range(1, n.bit_length()) for _ in range(n >> (length + 1))]
+    profile.append(n - sum(profile))
+    for first in (True, False):
+        rng.shuffle(profile)
+        yield runs_int([(first == (j % 2 == 0), k) for j, k in enumerate(profile)])
+
+
 def test_bitwise_agrees_with_generic():
     rng = random.Random(808)
     trees = [t(k) for k in range(9)]
@@ -582,6 +596,13 @@ def test_bitwise_agrees_with_generic():
         for y in trees:
             for table in BIT_TABLES:
                 assert TREE.bitwise(table, x, y) == NatRep.bitwise(TREE, table, x, y)
+    # runs of 2^8..2^12 digits, which random_tree rarely makes
+    for k in range(8, 13):
+        operands = [t(v) for v in _long_run_operands(rng, 1 << k)] + trees[:3]
+        for x in operands:
+            for y in operands:
+                for table in BIT_TABLES:
+                    assert TREE.bitwise(table, x, y) == NatRep.bitwise(TREE, table, x, y)
 
 
 def test_bitwise_identities_on_giants():
