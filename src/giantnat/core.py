@@ -9,13 +9,16 @@ are then exactly the bijective base-2 numerals over the digit alphabet
 Everything else -- successor/predecessor, arithmetic, comparison, division,
 and the digit-level "special computations" (dual, bitsize, the cons/decons
 pairing) -- is derived here once from the primitives and shared by every
-representation.  Division is binary long division, one pass over the
-quotient's bits; a power-of-two divisor goes to ``split``, which reads the
-quotient off the digits left once the low ones are dropped.  Conversions
-all go through one format, a list of runs (see ``_strip_runs``).  A
-representation may override a derived operation with a faster equivalent as
-long as observable behaviour is unchanged; the derived definitions below
-remain available through the base class for cross-checks.
+representation.  Addition and subtraction are one pass of a bijective
+base-2 carry automaton over digit pairs.  Division is binary long division,
+one pass over the quotient's bits, each bit one borrow walk that subtracts
+where the divisor fits and reports where it does not; a power-of-two
+divisor goes to ``split``, which reads the quotient off the digits left
+once the low ones are dropped.  Conversions all go through one format, a
+list of runs (see ``_strip_runs``).  A representation may override a
+derived operation with a faster equivalent as long as observable behaviour
+is unchanged; the derived definitions below remain available through the
+base class for cross-checks.
 
 All values are immutable and all operations are pure, so values can be
 shared freely across threads.
@@ -175,56 +178,75 @@ class NatRep(ABC):
     # arithmetic
     # ------------------------------------------------------------------
 
+    # add and sub run the bijective base-2 carry automaton one digit pair at
+    # a time, outermost first.  With o worth 1 and i worth 2, each pair gives
+    # s = dx + sign * (dy + carry): the result digit is o when s is odd, and
+    # the next carry (or borrow) is sign * (s - digit) / 2, always 0, 1 or 2:
+    # (s - 1) >> 1 for add, (2 - s) >> 1 for sub.  The digits are collected
+    # and rebuilt innermost first onto what is left.
+
     def add(self, x: N, y: N) -> N:
-        """Sum.  Strips outer-digit pairs down to a base case, then rebuilds
-        outward: o+o carries into an i digit, any case involving an i digit
-        also needs a succ on the way out."""
-        is_e, is_o = self.is_e, self.is_o
-        o, i, o_inv, i_inv, succ = self.o, self.i, self.o_inv, self.i_inv, self.succ
-        pairs = []
-        while True:
-            if is_e(x):
-                res = y
-                break
-            if is_e(y):
-                res = x
-                break
+        """Sum, in one carry pass: once one operand ends, the carry goes into
+        the other's rest with at most two succ."""
+        is_e, is_o, o_inv, i_inv = self.is_e, self.is_o, self.o_inv, self.i_inv
+        digits = []
+        carry = 0
+        while not (is_e(x) or is_e(y)):
             ao = is_o(x)
             bo = is_o(y)
             x = o_inv(x) if ao else i_inv(x)
             y = o_inv(y) if bo else i_inv(y)
-            pairs.append(ao + bo)
-        for both in reversed(pairs):
-            if both == 2:
-                res = i(res)
-            elif both == 1:
-                res = o(succ(res))
-            else:
-                res = i(succ(res))
-        return res
+            s = 4 - ao - bo + carry
+            carry = (s - 1) >> 1
+            digits.append(s & 1)
+        res = y if is_e(x) else x
+        if carry:
+            res = self.succ(res if carry == 1 else self.succ(res))
+        return self._put_digits(digits, res)
 
     def sub(self, x: N, y: N) -> N:
-        """Difference x - y; domain error when y exceeds x."""
-        is_e, is_o = self.is_e, self.is_o
-        o, o_inv, i_inv, pred = self.o, self.o_inv, self.i_inv, self.pred
-        pairs = []
-        while True:
-            if is_e(y):
-                res = x
-                break
+        """Difference x - y by :meth:`_sub_if_fits`; domain error when y exceeds x."""
+        d = self._sub_if_fits(x, y)
+        if d is None:
+            raise DomainError("subtraction underflow")
+        return d
+
+    def _sub_if_fits(self, x: N, y: N) -> N | None:
+        """x - y, or None when y exceeds x: one borrow pass.  Once y ends,
+        the borrow takes at most two pred on x's rest; once x ends too, the
+        digits so far less 2^len lose their innermost o digits and one i
+        digit, and with no i digit left y exceeds x."""
+        is_e, is_o, o_inv, i_inv = self.is_e, self.is_o, self.o_inv, self.i_inv
+        digits = []
+        borrow = 0
+        while not is_e(y):
             if is_e(x):
-                raise DomainError("subtraction underflow")
+                return None
             ao = is_o(x)
             bo = is_o(y)
             x = o_inv(x) if ao else i_inv(x)
             y = o_inv(y) if bo else i_inv(y)
-            pairs.append((ao, bo))
-        for ao, bo in reversed(pairs):
-            if ao:
-                res = pred(o(res)) if bo else pred(pred(o(res)))
-            else:
-                res = o(res) if bo else pred(o(res))
-        return res
+            s = bo - ao - borrow
+            borrow = (2 - s) >> 1
+            digits.append(s & 1)
+        if borrow == 2 and not is_e(x):
+            x, borrow = self.pred(x), 1
+        if borrow and not is_e(x):
+            x, borrow = self.pred(x), 0
+        if borrow:
+            while digits and digits[-1]:
+                digits.pop()
+            if borrow == 2 or not digits:
+                return None
+            digits.pop()
+        return self._put_digits(digits, x)
+
+    def _put_digits(self, digits: list[int], x: N) -> N:
+        # the digits (1 for o), outermost first, applied onto x
+        o, i = self.o, self.i
+        for d_o in reversed(digits):
+            x = o(x) if d_o else i(x)
+        return x
 
     def cmp(self, x: N, y: N) -> Ordering:
         """Three-way comparison agreeing with the numeric order.
@@ -306,25 +328,27 @@ class NatRep(ABC):
         binary long division, one pass over the quotient's bits: k is the
         difference of the binary bit lengths (bitsize of x - 1 less that of
         y - 1), so the quotient has at most k + 1 bits; m = 2^k y is halved
-        once per bit and subtracted where it fits.
+        once per bit, and one :meth:`_sub_if_fits` per bit both tests
+        whether m fits and subtracts it.
         """
         if self.is_e(y):
             raise DomainError("division by zero")
-        cmp, sub, o, db, hf, pred, is_e = (
-            self.cmp, self.sub, self.o, self.db, self.hf, self.pred, self.is_e)
-        if cmp(x, y) is LT:
+        sub_if_fits, o, db, hf, pred, is_e = (
+            self._sub_if_fits, self.o, self.db, self.hf, self.pred, self.is_e)
+        if self.cmp(x, y) is LT:
             return self.e, x
         y1 = pred(y)
         if is_e(self.run_trim(True, y1)):  # y - 1 is all o digits
             return self.split(self.run_count(True, y1), x)
-        k = sub(self.bitsize(pred(x)), self.bitsize(y1))
+        k = self.sub(self.bitsize(pred(x)), self.bitsize(y1))
         m = self.leftshift(k, y)
         q, r = self.e, x
         while True:
-            if cmp(r, m) is LT:
+            d = sub_if_fits(r, m)
+            if d is None:
                 q = db(q)
             else:
-                q, r = o(q), sub(r, m)
+                q, r = o(q), d
             if is_e(k):
                 return q, r
             m, k = hf(m), pred(k)

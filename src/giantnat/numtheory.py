@@ -56,15 +56,16 @@ def perfect45() -> Tree:
 
 def primes(rep: NatRep) -> Iterator:
     """Ascending stream of all primes, built from the representation's own
-    arithmetic: trial division of each odd candidate by earlier primes up
-    to its square root.  Each known prime is kept with its square."""
-    two = rep.i(rep.e)
+    arithmetic: trial division of each odd candidate by earlier odd primes
+    up to its square root.  Each known prime is kept with its square."""
     cmp, mul, div_and_rem, is_e = rep.cmp, rep.mul, rep.div_and_rem, rep.is_e
-    known = [(two, mul(two, two))]
-    yield two
-    candidate = rep.succ(two)
+    three = rep.o(rep.o(rep.e))
+    yield rep.i(rep.e)
+    yield three
+    known = [(three, mul(three, three))]
+    candidate = rep.succ(rep.succ(three))
     while True:
-        # prime iff no known prime up to its square root divides it
+        # prime iff no known odd prime up to its square root divides it
         for p, square in known:
             if cmp(square, candidate) is GT:
                 known.append((candidate, mul(candidate, candidate)))

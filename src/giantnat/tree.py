@@ -25,8 +25,11 @@ depth of the tree rather than the length of a run.
 cmp, add and sub read both operands a common stretch of runs at a time:
 add and sub run a bijective base-2 carry (or borrow) automaton that
 settles within two digits of a stretch, and cmp lets the operand that ends
-first, or else the innermost differing stretch, decide.  mul folds over
-the runs of x - 1, and a conversion reads or writes one counter per run.
+first, or else the innermost differing stretch, decide.  The generic
+long division takes each quotient bit from one such walk of the remainder
+and the shifted divisor (``_sub_if_fits``), which gives their order and,
+where the divisor fits, their difference.  mul folds over the runs of
+x - 1, and a conversion reads or writes one counter per run.
 split drops its k digits as the common stretches of x and the all-o value
 2^k - 1, a whole run at a time, so dividing by a power of two follows the
 run count and the depth, however long the runs.  bitwise merges the common
@@ -253,8 +256,9 @@ class TreeNatRep(NatRep):
             return VNode(_ADD(k, y.head), y.tail)
         return VNode(_PRED(k), (y.head, *y.tail))
 
-    # cmp, add and sub read both operands one common stretch of runs at a
-    # time (see _stretches): their cost follows run counts and tree depth.
+    # cmp, add, sub and _sub_if_fits read both operands one common stretch
+    # of runs at a time (see _stretches): their cost follows run counts and
+    # tree depth.
 
     def cmp(self, x: Tree, y: Tree) -> Ordering:
         if x is LEAF:
@@ -281,6 +285,15 @@ class TreeNatRep(NatRep):
         if x is LEAF:
             raise DomainError("subtraction underflow")
         return _diff(*_stretches(x, y))
+
+    def _sub_if_fits(self, x: Tree, y: Tree) -> Tree | None:
+        # one walk gives both the order and the difference
+        if y is LEAF:
+            return x
+        if x is LEAF:
+            return None
+        walk = _stretches(x, y)
+        return None if _order(*walk) is LT else _diff(*walk)
 
     def mul(self, x: Tree, y: Tree) -> Tree:
         # the generic fold over the digits of x - 1, taken a run at a time,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import giantnat
 from giantnat import BIGNAT, BIJ, TREE, DomainError, EQ, GT, LT, NatRep, view
-from giantnat.bignat import oracle_bitsize
+from giantnat.bignat import oracle_add, oracle_bitsize, oracle_sub
 
 SMALL = 130
 _HREPS = (BIGNAT, BIJ, TREE)
@@ -143,6 +143,50 @@ def test_sub_underflow_raises(rep):
         rep.sub(rep.e, rep.from_int(1))
 
 
+def test_sub_if_fits_against_oracle(rep):
+    # None exactly where oracle_sub underflows: 3 - 4 and 5 - 6 have equal
+    # digit counts, so only the last borrow tells
+    def want(x, y):
+        try:
+            return oracle_sub(x, y)
+        except DomainError:
+            return None
+
+    n = 301
+    vals = [rep.from_int(k) for k in range(n)]
+    for x in range(n):
+        for y in range(n):
+            got = rep._sub_if_fits(vals[x], vals[y])
+            assert (got if got is None else rep.to_int(got)) == want(x, y), (x, y)
+    assert rep._sub_if_fits(rep.e, rep.e) == rep.e
+    assert rep._sub_if_fits(rep.e, vals[1]) is None
+
+
+def _carry_operands(rng):
+    # next to powers of two a carry or borrow ripples through every digit:
+    # 2^k - 2 is all i, 2^k - 1 all o, and 2^k less 2^k - 1 ends with a
+    # borrow that takes the top i digit
+    vals = [0, 1, 2]
+    for k in (2, 3, 64, 65, 700, 2000):
+        vals += [(1 << k) - 2, (1 << k) - 1, 1 << k, (1 << k) + 1]
+    return vals + [rng.getrandbits(rng.randrange(1, 2001)) for _ in range(10)]
+
+
+@pytest.mark.parametrize("rep_", [BIGNAT, BIJ], ids=["bignat", "bij"])
+def test_generic_add_sub_on_long_operands(rep_):
+    assert type(rep_).add is NatRep.add and type(rep_)._sub_if_fits is NatRep._sub_if_fits
+    ints = _carry_operands(random.Random(2000))
+    vals = [rep_.from_int(a) for a in ints]
+    for a, x in zip(ints, vals):
+        for b, y in zip(ints, vals):
+            assert rep_.to_int(rep_.add(x, y)) == oracle_add(a, b)
+            if b > a:
+                with pytest.raises(DomainError, match="subtraction underflow"):
+                    rep_.sub(x, y)
+            else:
+                assert rep_.to_int(rep_.sub(x, y)) == oracle_sub(a, b)
+
+
 def test_min2_max2(rep):
     a, b = rep.from_int(3), rep.from_int(4)
     assert rep.min2(a, b) == a
@@ -224,6 +268,31 @@ def test_div_and_rem(rep):
     assert rep.to_int(rep.remainder(rep.from_int(7), rep.from_int(3))) == 1
 
 
+def test_division_takes_one_step_per_quotient_bit(rep, monkeypatch):
+    # k + 1 steps for a quotient of at most k + 1 bits, k the difference of
+    # the binary bit lengths; the step both tests and subtracts.  Only steps
+    # by a multiple of the divisor count: the generic sub that gives k is
+    # one more step, by a bit length.
+    steps = []
+
+    def counting(x, y, step=rep._sub_if_fits):
+        if rep.to_int(y) % b == 0:
+            steps.append(1)
+        return step(x, y)
+
+    monkeypatch.setitem(vars(rep), "_sub_if_fits", counting)
+    rng = random.Random(41)
+    for _ in range(20):
+        b = rng.getrandbits(rng.randrange(2, 60)) | 3  # odd, not a power of two
+        a = rng.getrandbits(rng.randrange(b.bit_length(), 120))
+        if a < b:
+            continue
+        steps.clear()
+        q, r = rep.div_and_rem(rep.from_int(a), rep.from_int(b))
+        assert (rep.to_int(q), rep.to_int(r)) == divmod(a, b)
+        assert len(steps) == a.bit_length() - b.bit_length() + 1
+
+
 def test_division_by_zero_raises(rep):
     with pytest.raises(DomainError):
         rep.div_and_rem(rep.from_int(5), rep.e)
@@ -249,8 +318,8 @@ def test_split_agrees_with_divmod(rep):
 @pytest.mark.parametrize("rep_, top", [(TREE, 4000), (BIGNAT, 4000), (BIJ, 1000)],
                          ids=["tree", "bignat", "bij"])
 def test_div_and_rem_on_random_operands(rep_, top):
-    # long division costs one cmp and one sub per quotient bit, each over
-    # the whole operand: long operands get short quotients, short ones any
+    # long division costs one borrow walk per quotient bit, each over the
+    # whole operand: long operands get short quotients, short ones any
     rng = random.Random(top)
     cases = []
     for _ in range(20):

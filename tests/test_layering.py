@@ -103,6 +103,29 @@ def test_exp2_and_leftshift_have_one_definition():
         assert not _has_loop(methods[name]), name
 
 
+def _loop_calls(fn) -> set[str]:
+    # names called inside fn's loops, as attributes or as local aliases
+    return {call.func.attr if isinstance(call.func, ast.Attribute) else call.func.id
+            for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.While))
+            for call in ast.walk(loop)
+            if isinstance(call, ast.Call) and isinstance(call.func, (ast.Attribute, ast.Name))}
+
+
+def test_generic_add_sub_take_no_succ_pred_per_digit():
+    # one carry pass: a carry or borrow reaches the longer operand's rest
+    # after the digit loop, never as a succ or pred per digit
+    methods = _natrep_methods()
+    for name in ("add", "sub", "_sub_if_fits"):
+        assert not _loop_calls(methods[name]) & {"succ", "pred"}, name
+
+
+def test_long_division_takes_one_step_per_quotient_bit():
+    # the step both compares and subtracts: no cmp then sub in the loop
+    called = _loop_calls(_natrep_methods()["div_and_rem"])
+    assert called & {"_sub_if_fits", "sub_if_fits"}
+    assert not called & {"cmp", "sub"}
+
+
 def test_generic_bitwise_has_no_run_merge():
     # NatRep.bitwise is the int definition; the one merge over runs of bits
     # is the tree override's, never a second copy in core

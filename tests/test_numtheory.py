@@ -127,17 +127,30 @@ def test_largest_known_forms():
 
 
 def test_primes_against_sieve():
-    want = sieve(541)
+    want = sieve(1223)
     got = [BIGNAT.to_int(p) for p in islice(primes(BIGNAT), len(want))]
     assert got == want
-    assert got[4] == 11 and got[99] == 541
+    assert got[4] == 11 and got[99] == 541 and len(got) == 200
 
 
 def test_primes_cross_representation():
-    reference = [BIGNAT.to_int(p) for p in islice(primes(BIGNAT), 50)]
+    want = sieve(281)
     for rep in (TREE, BIJ):
-        got = [rep.to_int(p) for p in islice(primes(rep), 20)]
-        assert got == reference[:20]
+        got = [rep.to_int(p) for p in islice(primes(rep), len(want))]
+        assert got == want and len(got) == 60
+
+
+def test_primes_never_divide_by_two(rep, monkeypatch):
+    # every candidate past 2 is odd
+    divisors = []
+
+    def recording(x, y, div_and_rem=rep.div_and_rem):
+        divisors.append(rep.to_int(y))
+        return div_and_rem(x, y)
+
+    monkeypatch.setitem(vars(rep), "div_and_rem", recording)
+    assert [rep.to_int(p) for p in islice(primes(rep), 40)] == sieve(173)
+    assert divisors and 2 not in divisors
 
 
 # ----------------------------------------------------------------------

@@ -356,14 +356,19 @@ def test_run_helpers_split_and_rebuild_giants(o_digit):
 
 
 def _check_arith_against_generic(a, b, mul=True):
+    # generic sub wraps _sub_if_fits, which TREE overrides: the digit walk
+    # oracle is the generic step
     x, y = t(a), t(b)
     assert TREE.cmp(x, y) is NatRep.cmp(TREE, x, y)
     assert TREE.add(x, y) == NatRep.add(TREE, x, y)
     if mul:
         assert TREE.mul(x, y) == NatRep.mul(TREE, x, y)
+    diff = NatRep._sub_if_fits(TREE, x, y)
+    assert TREE._sub_if_fits(x, y) == diff
     if a >= b:
-        assert TREE.sub(x, y) == NatRep.sub(TREE, x, y)
+        assert TREE.sub(x, y) == diff
     else:
+        assert diff is None
         with pytest.raises(DomainError, match="subtraction underflow"):
             TREE.sub(x, y)
 
@@ -413,6 +418,18 @@ def test_arith_identities_on_giants():
         size_order = TREE.cmp(TREE.bitsize(x), TREE.bitsize(y))
         if size_order is not EQ:
             assert order is size_order
+
+
+def test_sub_if_fits_agrees_with_cmp_and_sub_on_giants():
+    giants = _giants()
+    for x in giants:
+        for y in giants[:20] + [TREE.pred(x), x, TREE.succ(x), LEAF]:
+            got = TREE._sub_if_fits(x, y)
+            if TREE.cmp(x, y) is LT:
+                assert got is None
+            else:
+                assert got == TREE.sub(x, y)
+                assert TREE.add(got, y) == x
 
 
 def test_mersenne45_squared():
@@ -653,6 +670,28 @@ def test_split_identities_on_giants():
             assert TREE.add(TREE.leftshift(k, q), r) == x
             assert TREE.cmp(r, TREE.exp2(k)) is LT
             assert TREE.div_and_rem(x, TREE.exp2(k)) == (q, r)
+
+
+def test_long_division_walks_once_per_quotient_bit(monkeypatch):
+    # one _stretches walk of the operands per quotient bit, plus the first
+    # cmp of x and y; the walks of counters (bitsize, _gap, leftshift) have
+    # few runs and are not counted.  A cmp and then a sub where m fits
+    # would walk about 1.5 (k + 1) times.
+    rng = random.Random(600)
+    a, b = rng.getrandbits(600) | 1 << 599, rng.getrandbits(300) | 1 << 299
+    x, y = t(a), t(b)
+    k = a.bit_length() - b.bit_length()
+    walks = []
+
+    def counting(u, v, walk=tree_module._stretches):
+        if len(u.tail) >= 16 and len(v.tail) >= 16:
+            walks.append(1)
+        return walk(u, v)
+
+    monkeypatch.setattr(tree_module, "_stretches", counting)
+    q, r = TREE.div_and_rem(x, y)
+    assert (TREE.to_int(q), TREE.to_int(r)) == divmod(a, b)
+    assert k + 1 <= len(walks) <= k + 2
 
 
 def test_mersenne45_divided_by_a_power_of_two():
