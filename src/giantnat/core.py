@@ -10,15 +10,16 @@ Everything else -- successor/predecessor, arithmetic, comparison, division,
 and the digit-level "special computations" (dual, bitsize, the cons/decons
 pairing) -- is derived here once from the primitives and shared by every
 representation.  Addition and subtraction are one pass of a bijective
-base-2 carry automaton over digit pairs.  Division is binary long division,
-one pass over the quotient's bits, each bit one borrow walk that subtracts
-where the divisor fits and reports where it does not; a power-of-two
-divisor goes to ``split``, which reads the quotient off the digits left
-once the low ones are dropped.  Conversions all go through one format, a
-list of runs (see ``_strip_runs``).  A representation may override a
-derived operation with a faster equivalent as long as observable behaviour
-is unchanged; the derived definitions below remain available through the
-base class for cross-checks.
+base-2 carry automaton over digit pairs, multiplication a fold with one
+step per run.  Division is binary long division, one pass over the
+quotient's bits, each bit one borrow walk that subtracts where the divisor
+fits and reports where it does not; a power-of-two divisor goes to
+``split``, which reads the quotient off the digits left once the low ones
+are dropped.  Conversions all go through one format, a list of runs (see
+``_strip_runs``).  A representation may override a derived operation with
+a faster equivalent as long as observable behaviour is unchanged; the
+derived definitions below remain available through the base class for
+cross-checks.
 
 All values are immutable and all operations are pure, so values can be
 shared freely across threads.
@@ -73,7 +74,6 @@ class NatRep(ABC):
 
     def __init__(self) -> None:
         self._one = self.o(self.e)
-        self._two = self.i(self.e)
 
     # ------------------------------------------------------------------
     # primitives (static: they never need the instance, and the hot generic
@@ -279,17 +279,38 @@ class NatRep(ABC):
         return y if self.cmp(x, y) is LT else x
 
     def mul(self, x: N, y: N) -> N:
-        """Product.  Zero absorbs; otherwise (x-1), (y-1) drive the digit loop."""
-        if self.is_e(x) or self.is_e(y):
+        """Product.  Zero absorbs; otherwise a fold over the runs of x - 1,
+        innermost first, from acc = y - 1, keeping acc + 1 = (v + 1) y for v
+        the digits folded: n o digits are n o digits on acc, one i digit
+        makes acc o(acc) + y, and n >= 2 take acc + 1 to 2^n (acc + 1 + y) - y.
+        Of x - 1 and y - 1, read in step, the one of fewer runs drives the
+        fold.  Run lengths stay values of the representation, so run helpers
+        that edit whole runs keep a product of giants at that level."""
+        is_e, is_o, run_count, run_trim = self.is_e, self.is_o, self.run_count, self.run_trim
+        if is_e(x) or is_e(y):
             return self.e
-        o, succ, add = self.o, self.succ, self.add
-        b = self.pred(y)
-        # Fold (x-1)'s digits back innermost-first: an o digit
-        # doubles-and-increments, an i digit also adds b back in.
-        acc = b
-        for o_digit, n in reversed(self._strip_runs(self.pred(x))):
-            for _ in range(n):
-                acc = o(acc) if o_digit else succ(add(b, o(acc)))
+        a, b = x1, y1 = self.pred(x), self.pred(y)
+        # each run's digit and the operand from that run on: only the runs
+        # that drive the fold are counted
+        runs_a, runs_b = [], []
+        while not (is_e(a) or is_e(b)):
+            oa, ob = is_o(a), is_o(b)
+            runs_a.append((oa, a))
+            runs_b.append((ob, b))
+            a, b = run_trim(oa, a), run_trim(ob, b)
+        runs = runs_a
+        if not is_e(a):  # y - 1 has fewer runs: x and y swap roles
+            runs, y, y1 = runs_b, x, x1
+        o, add, succ, one = self.o, self.add, self.succ, self._one
+        acc, y2 = y1, succ(y)
+        for o_digit, rest in reversed(runs):
+            n = run_count(o_digit, rest)
+            if o_digit:
+                acc = self.run_times(True, n, acc)
+            elif n == one:
+                acc = add(o(acc), y)
+            else:
+                acc = self.sub(self.leftshift(n, add(acc, y2)), y2)
         return succ(acc)
 
     def db(self, x: N) -> N:
@@ -460,10 +481,10 @@ class NatRep(ABC):
         return acc
 
     # Run helpers.  The digit is a flag, True for o and False for i, as in
-    # _strip_runs.  cons/decons and the pairing codec are built on these
-    # three, so a representation that can edit a whole run at once overrides
-    # them and speeds those callers up without their knowing it; trees also
-    # build their succ/pred on them.
+    # _strip_runs.  mul, leftshift, cons/decons and the pairing codec are
+    # built on these three, so a representation that can edit a whole run at
+    # once overrides them and speeds those callers up without their knowing
+    # it.
 
     def run_count(self, o_digit: bool, x: N) -> N:
         """Length of the outermost run of the given digit; zero when x does

@@ -100,6 +100,8 @@ def lucas_lehmer(rep: NatRep, p) -> bool:
     starts from 4 and runs p - 2 times, so it never reduces for p = 2.
     The stream consumers below simply skip that exponent.
     """
+    if rep.cmp(p, rep.i(rep.e)) is LT:
+        raise DomainError("lucas_lehmer needs p >= 2")
     rounds = rep.pred(rep.pred(p))
     m = rep.exp2(p)
     y = rep.i(rep.o(rep.e))  # 4

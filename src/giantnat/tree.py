@@ -13,7 +13,7 @@ counter.  :class:`TreeNatRep` overrides several derived operations with
 node-level edits: bitsize sums the outermost node's run counters, dual
 flips its tag and repsize counts nodes.  The run helpers (run_count,
 run_trim, run_times) are overridden too: a run is one counter of the
-outermost node, so each reads or edits that node, and the generic
+outermost node, so each reads or edits that node, and the generic mul,
 cons/decons, pairing codec and leftshift built on them get the speed
 without knowing about trees: leftshift (exp2 is leftshift of one) lays one
 o run under a single succ, by the paper's identity a4.  succ and pred are
@@ -22,14 +22,14 @@ paper: either the outermost digit turns into the other one, or the whole
 outermost run does and the digit under it turns.  Each builds one new node
 with at most one succ or pred on a counter, so their cost follows the
 depth of the tree rather than the length of a run.
-cmp, add and sub read both operands a common stretch of runs at a time:
-add and sub run a bijective base-2 carry (or borrow) automaton that
-settles within two digits of a stretch, and cmp lets the operand that ends
-first, or else the innermost differing stretch, decide.  The generic
-long division takes each quotient bit from one such walk of the remainder
-and the shifted divisor (``_sub_if_fits``), which gives their order and,
-where the divisor fits, their difference.  mul folds over the runs of
-x - 1, and a conversion reads or writes one counter per run.
+cmp, add and the subtraction step ``_sub_if_fits`` read both operands a
+common stretch of runs at a time: add and subtraction run a bijective
+base-2 carry (or borrow) automaton that settles within two digits of a
+stretch, and cmp lets the operand that ends first, or else the innermost
+differing stretch, decide.  ``_sub_if_fits`` gives the order and, where y
+fits, the difference from one walk.  The generic sub, long division and
+run-fold mul are built on these three and the run helpers, so they too go
+a run at a time.  A conversion reads or writes one counter per run.
 split drops its k digits as the common stretches of x and the all-o value
 2^k - 1, a whole run at a time, so dividing by a power of two follows the
 run count and the depth, however long the runs.  bitwise merges the common
@@ -256,9 +256,9 @@ class TreeNatRep(NatRep):
             return VNode(_ADD(k, y.head), y.tail)
         return VNode(_PRED(k), (y.head, *y.tail))
 
-    # cmp, add, sub and _sub_if_fits read both operands one common stretch
-    # of runs at a time (see _stretches): their cost follows run counts and
-    # tree depth.
+    # cmp, add and _sub_if_fits read both operands one common stretch of
+    # runs at a time (see _stretches): their cost follows run counts and tree
+    # depth.  The generic sub and mul reach them through this class.
 
     def cmp(self, x: Tree, y: Tree) -> Ordering:
         if x is LEAF:
@@ -279,41 +279,14 @@ class TreeNatRep(NatRep):
             rest = _SUCC(rest)
         return _node(runs, rest)
 
-    def sub(self, x: Tree, y: Tree) -> Tree:
-        if y is LEAF:
-            return x
-        if x is LEAF:
-            raise DomainError("subtraction underflow")
-        return _diff(*_stretches(x, y))
-
     def _sub_if_fits(self, x: Tree, y: Tree) -> Tree | None:
         # one walk gives both the order and the difference
         if y is LEAF:
             return x
         if x is LEAF:
             return None
-        walk = _stretches(x, y)
-        return None if _order(*walk) is LT else _diff(*walk)
-
-    def mul(self, x: Tree, y: Tree) -> Tree:
-        # the generic fold over the digits of x - 1, taken a run at a time,
-        # with x the operand of fewer runs
-        if x is LEAF or y is LEAF:
-            return LEAF
-        if len(x.tail) > len(y.tail):
-            x, y = y, x
-        b, y1, a = _PRED(y), _SUCC(y), _PRED(x)
-        acc, counters = b, (() if a is LEAF else (a.head, *a.tail))
-        for j in range(len(counters) - 1, -1, -1):
-            k = counters[j]
-            if (j % 2 == 0) == (type(a) is VNode):
-                acc = self.run_times(True, _SUCC(k), acc)
-            elif k is LEAF:
-                acc = _SUCC(self.add(b, self.o(acc)))
-            else:
-                # k + 1 i digits: acc + 1 becomes 2^(k+1) (acc + 1 + y) - y
-                acc = self.sub(self.leftshift(_SUCC(k), self.add(acc, y1)), y1)
-        return _SUCC(acc)
+        stretches, rest_x, rest_y = _stretches(x, y)
+        return None if _order(stretches, rest_x, rest_y) is LT else _diff(stretches, rest_x)
 
     def bitwise(self, table: tuple[int, int, int, int], x: Tree, y: Tree) -> Tree:
         # the digits of x - 1 and y - 1 are the bits of x and y below their
@@ -479,8 +452,8 @@ def _gap(a: Tree, b: Tree):
         return GT, _PRED(a)
     stretches, rest_a, rest_b = _stretches(a, b)
     if _order(stretches, rest_a, rest_b) is LT:
-        return LT, _PRED(_diff([(bo, ao, k) for ao, bo, k in stretches], rest_b, rest_a))
-    return GT, _PRED(_diff(stretches, rest_a, rest_b))
+        return LT, _PRED(_diff([(bo, ao, k) for ao, bo, k in stretches], rest_b))
+    return GT, _PRED(_diff(stretches, rest_a))
 
 
 def _order(stretches: list, rest_x: Tree, rest_y: Tree) -> Ordering:
@@ -523,18 +496,17 @@ def _carry_runs(stretches: list, sign: int):
     return runs, carry
 
 
-def _diff(stretches: list, rest: Tree, rest_y: Tree) -> Tree:
-    # x - y from their common stretches and what is left of each
-    if rest_y is not LEAF:
-        raise DomainError("subtraction underflow")
+def _diff(stretches: list, rest: Tree) -> Tree:
+    # x - y for x >= y, from their common stretches and what is left of x
     runs, borrow = _carry_runs(stretches, -1)
     while borrow and rest is not LEAF:
         rest = _PRED(rest)
         borrow -= 1
     # the digits so far minus 2^len: the innermost o digits pass the borrow
-    # on, the innermost i digit takes it
-    if borrow and (borrow == 2 or not _drop_top_i(runs)):
-        raise DomainError("subtraction underflow")
+    # on, the innermost i digit takes it (x >= y leaves at most one borrow,
+    # and an i digit to take it)
+    if borrow:
+        _drop_top_i(runs)
     return _node(runs, rest)
 
 

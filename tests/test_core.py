@@ -230,6 +230,26 @@ def test_mul_homomorphism_hypothesis(a, b):
         assert rep_.to_int(rep_.mul(rep_.from_int(a), rep_.from_int(b))) == a * b
 
 
+def _long_run_operands():
+    # x - 1 is one long o run (2^k), one long i run (2^k - 1), an o digit over
+    # a long i run (2^k - 2), or i, then a long o run, then a long i run
+    # (2^j (2^k - 1) + 1)
+    for k in (1, 2, 3, 17, 64, 300):
+        yield from (1 << k, (1 << k) - 1, (1 << k) - 2)
+        for j in (1, 5, 150):
+            yield ((1 << k) - 1 << j) + 1
+
+
+def test_mul_on_long_runs(rep):
+    # both operand orders, so each side of the fewer-runs choice drives the
+    # fold; long i runs take the closed-form step, not one add per digit
+    ints = sorted(set(_long_run_operands()))
+    vals = [rep.from_int(a) for a in ints]
+    for a, x in zip(ints, vals):
+        for b, y in zip(ints, vals):
+            assert rep.to_int(rep.mul(x, y)) == a * b
+
+
 def test_pow_exp2_leftshift(rep):
     for x in range(7):
         for y in range(6):

@@ -103,6 +103,14 @@ def test_exp2_and_leftshift_have_one_definition():
         assert not _has_loop(methods[name]), name
 
 
+def test_mul_and_sub_have_one_definition():
+    # NatRep.mul folds over runs through run_count/run_trim/run_times and
+    # NatRep.sub wraps _sub_if_fits: a representation speeds them up through
+    # those, never with a second product or difference
+    for module, name, defined in _rep_classes():
+        assert not defined & {"mul", "sub"}, f"{module}: {name}"
+
+
 def _loop_calls(fn) -> set[str]:
     # names called inside fn's loops, as attributes or as local aliases
     return {call.func.attr if isinstance(call.func, ast.Attribute) else call.func.id

@@ -112,6 +112,12 @@ def test_perfect_requires_two(rep):
             perfect(rep, rep.from_int(bad))
 
 
+def test_lucas_lehmer_requires_two(rep):
+    for bad in (0, 1):
+        with pytest.raises(DomainError, match="lucas_lehmer needs p >= 2"):
+            lucas_lehmer(rep, rep.from_int(bad))
+
+
 def test_largest_known_forms():
     m45 = mersenne45()
     assert TREE.to_int(TREE.bitsize(m45)) == PRIME45

@@ -357,12 +357,13 @@ def test_run_helpers_split_and_rebuild_giants(o_digit):
 
 def _check_arith_against_generic(a, b, mul=True):
     # generic sub wraps _sub_if_fits, which TREE overrides: the digit walk
-    # oracle is the generic step
+    # oracle is the generic step.  TREE's product is the generic one, so its
+    # oracle is the int product.
     x, y = t(a), t(b)
     assert TREE.cmp(x, y) is NatRep.cmp(TREE, x, y)
     assert TREE.add(x, y) == NatRep.add(TREE, x, y)
     if mul:
-        assert TREE.mul(x, y) == NatRep.mul(TREE, x, y)
+        assert TREE.to_int(TREE.mul(x, y)) == a * b
     diff = NatRep._sub_if_fits(TREE, x, y)
     assert TREE._sub_if_fits(x, y) == diff
     if a >= b:
@@ -380,16 +381,18 @@ def test_arith_agrees_with_generic():
 
 
 def test_arith_agrees_with_generic_on_random_operands():
-    # the generic mul walks the digits of its first operand, each step an
-    # add over the product so far: its multiplier is kept small here
     rng = random.Random(1200)
     for _ in range(40):
         a, b = (rng.getrandbits(rng.randrange(1, 1201)) for _ in range(2))
         for p, q in ((a, b), (a + b, a), (a, a + b + 1)):  # (a + b, a): one length
             _check_arith_against_generic(p, q, mul=False)
-        small = t(rng.getrandbits(rng.randrange(1, 33)))
-        product = NatRep.mul(TREE, small, t(a))
-        assert TREE.mul(small, t(a)) == TREE.mul(t(a), small) == product
+        small = rng.getrandbits(rng.randrange(1, 33))
+        product = TREE.mul(t(small), t(a))
+        assert TREE.mul(t(a), t(small)) == product
+        assert TREE.to_int(product) == small * a
+    for _ in range(4):
+        a, b = rng.getrandbits(600), rng.getrandbits(600)
+        assert TREE.to_int(TREE.mul(t(a), t(b))) == a * b
 
 
 @given(st.integers(min_value=0, max_value=1 << 256), st.integers(min_value=0, max_value=1 << 256))
@@ -439,6 +442,21 @@ def test_mersenne45_squared():
     want = TREE.succ(TREE.leftshift(TREE.succ(p), TREE.pred(TREE.exp2(TREE.pred(p)))))
     assert TREE.mul(m, m) == want
     assert TREE.to_int(TREE.bitsize(want)) == 2 * 43112609 - 1
+
+
+def test_towers_squared():
+    # 2^k less one is one o run of k digits, less two one i run of k - 1.
+    # For k = 2^100 no index holds that run length, and for k = 2^(2^100)
+    # no int holds it either: the product must never read a run length as
+    # an int.  Checked by identity, never expanded
+    for k in (TREE.exp2(t(100)), TREE.exp2(TREE.exp2(t(100)))):
+        big = TREE.exp2(k)
+        assert TREE.mul(big, big) == TREE.exp2(TREE.add(k, k))
+        # (2^k - 1)^2 = 2^(k+1) (2^(k-1) - 1) + 1
+        m = TREE.pred(big)
+        want = TREE.succ(TREE.leftshift(TREE.succ(k), TREE.pred(TREE.exp2(TREE.pred(k)))))
+        assert TREE.mul(m, m) == want
+        assert TREE.bitsize(want) == TREE.pred(TREE.add(k, k))
 
 
 def test_arith_scales_with_tree_size():
