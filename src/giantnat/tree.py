@@ -36,10 +36,13 @@ run count and the depth, however long the runs.  bitwise merges the common
 stretches of x - 1 and y - 1, whose digits are the bits of x and y below
 their top 1 bits, and keeps or drops the rest of the longer operand whole,
 so sparse sets with elements past ``sys.maxsize``, whose runs no list
-holds, combine at node level.  The run walks memoize the two counter steps
-they repeat, the order and distance of two counters and the merge of two
-runs, so on operands of many short runs the cost follows the distinct
-counters rather than the stretches (see :func:`memo_stats`).
+holds, combine at node level.  Counters that fit a word come from one
+table, one object per value, and carry their value: the counter steps on
+them (succ, pred, add, and in the run walks the order and distance of two
+counters and the merge of two runs) are int steps.  The run walks memoize
+the recursive steps of other counters (towers, counters past a word), so
+on operands of many short runs the cost follows the distinct counters
+rather than the stretches (see :func:`memo_stats`).
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
-from .core import EQ, GT, LT, DomainError, NatRep, Ordering, ParseError, runs_int
+from .core import EQ, GT, LT, DomainError, NatRep, Ordering, ParseError, int_runs, runs_int
 
 # A counter of d digits is at least 2^d - 1; its run, counter + 1 digits,
 # is sure to fit an index (sys.maxsize) only while d is at most this.
@@ -67,6 +70,7 @@ class Tree:
 
 class _Leaf(Tree):
     __slots__ = ()
+    _value = 0  # zero is the table's first counter (see _counter)
 
 
 LEAF = _Leaf()
@@ -75,12 +79,13 @@ LEAF = _Leaf()
 class VNode(Tree):
     """Odd values: outermost run is made of o digits."""
 
-    __slots__ = ("head", "tail", "_hash")
+    __slots__ = ("head", "tail", "_hash", "_value")
 
     def __init__(self, head: Tree, tail: tuple[Tree, ...]):
         self.head = head
         self.tail = tail
         self._hash = None
+        self._value = None
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -100,12 +105,13 @@ class VNode(Tree):
 class WNode(Tree):
     """Even positive values: outermost run is made of i digits."""
 
-    __slots__ = ("head", "tail", "_hash")
+    __slots__ = ("head", "tail", "_hash", "_value")
 
     def __init__(self, head: Tree, tail: tuple[Tree, ...]):
         self.head = head
         self.tail = tail
         self._hash = None
+        self._value = None
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -341,16 +347,10 @@ class TreeNatRep(NatRep):
     def _from_runs(self, runs: list[tuple[bool, int]]) -> Tree:
         if not runs:
             return LEAF
-        # one counter per distinct run length, so equal counters are one
-        # object and compare by identity in the run walks and memos
-        made = {1: LEAF}
-        counters = []
-        for _, n in runs:
-            c = made.get(n)
-            if c is None:
-                c = made[n] = self.from_int(n - 1)
-            counters.append(c)
-        return (VNode if runs[0][0] else WNode)(counters[0], tuple(counters[1:]))
+        # every counter from the table: equal run lengths, in this value or
+        # in one converted apart, give one counter object
+        head, *tail = [_counter(n - 1) for _, n in runs]
+        return (VNode if runs[0][0] else WNode)(head, tuple(tail))
 
 
 def _flip(node: type, head: Tree, tail: tuple) -> Tree:
@@ -380,13 +380,13 @@ def _runs(x: Tree) -> tuple[list, int]:
     # own digit count, before runs_int expands it.
     runs, digits, o_digit = [], 0, type(x) is VNode
     for counter in () if x is LEAF else (x.head, *x.tail):
-        if counter is LEAF:
-            n = 1
-        else:
+        n = counter._value  # a table counter's run fits an index
+        if n is None:
             counter_runs, counter_digits = _runs(counter)
             if counter_digits > _MAX_RUN_DIGITS:
                 raise DomainError("value too large to expand into an int")
-            n = runs_int(counter_runs) + 1
+            n = runs_int(counter_runs)
+        n += 1
         runs.append((o_digit, n))
         digits += n
         o_digit = not o_digit
@@ -406,17 +406,27 @@ def _stretches(x: Tree, y: Tree):
     i = j = 0
     out = []
     while True:
-        if rx is ry or (rx is not LEAF and ry is not LEAF and rx == ry):
-            out.append((xo, yo, rx))
-            rx = ry = None
+        a, b = rx._value, ry._value
+        if a is not None and b is not None:  # two table counters: int steps
+            if a == b:
+                order = EQ
+            elif a < b:
+                order, gap = LT, _counter(b - a - 1)
+            else:
+                order, gap = GT, _counter(a - b - 1)
+        elif rx is ry or (rx is not LEAF and ry is not LEAF and rx == ry):
+            order = EQ
         else:
             order, gap = _gap(rx, ry)
-            if order is LT:
-                out.append((xo, yo, rx))
-                rx, ry = None, gap
-            else:
-                out.append((xo, yo, ry))
-                rx, ry = gap, None
+        if order is EQ:
+            out.append((xo, yo, rx))
+            rx = ry = None
+        elif order is LT:
+            out.append((xo, yo, rx))
+            rx, ry = None, gap
+        else:
+            out.append((xo, yo, ry))
+            rx, ry = gap, None
         if rx is None:
             i += 1
             if i < nx:
@@ -430,15 +440,30 @@ def _stretches(x: Tree, y: Tree):
 
 
 # The run walks meet the same few counters again and again: a random
-# 2^11-digit operand has 1024 runs but 11 distinct counters.  So the two
-# counter-level steps they repeat, _gap and _join, are memoized, keyed by the
-# nodes' structural hash and ==.  Each memo holds at most _MEMO_SIZE entries
-# (least recently used go first; an evicted entry is only recomputed): the
-# op lists of the three perfbench workloads on two seeds, then 30 fresh
-# random 2^11-digit pairs, left 312 entries in _gap's and 79 in _join's;
-# the bound leaves three times that room.
-# succ and pred are not memoized: they cost less than a lookup.
+# 2^11-digit operand has 1024 runs but 11 distinct counters.  A counter of
+# value v < sys.maxsize (its run v + 1 fits an index, as _runs requires)
+# comes from one table, _counter, and carries v: conversions draw their
+# counters from it, and a counter step on table counters is an int step
+# whose result comes from the table.  Other counters take the recursive
+# steps; the two the run walks repeat, _gap and _join, are memoized, keyed
+# by the nodes' structural hash and ==.  The table and each memo hold at
+# most _MEMO_SIZE entries, least recently used going first (an evicted
+# entry is only rebuilt, and keeps its value): the op lists of the three
+# perfbench workloads on two seeds, then add, sub and cmp of 30 fresh
+# random 2^11-digit pairs, left 180 entries in the table, 70 in _gap's and
+# 14 in _join's; the bound leaves five times that room.
 _MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _counter(n: int) -> Tree:
+    # the table's counter of value n, 0 <= n < sys.maxsize; the only place a
+    # node is given its value
+    if not n:
+        return LEAF
+    c = TREE._from_runs(int_runs(n))
+    c._value = n
+    return c
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -517,7 +542,7 @@ def _drop_top_i(runs: list) -> bool:
         runs.pop()
     if not runs:
         return False
-    k = runs.pop()[1]
+    k = _as_counter(runs.pop()[1])
     if k is not LEAF:
         runs.append((False, _PRED(k)))
     return True
@@ -531,11 +556,24 @@ def _rest(o_digit: bool, counter: Tree, counters: tuple, j: int) -> Tree:
 
 
 def _put(runs: list, o_digit, k: Tree) -> None:
-    # append a run of k + 1 digits, merging it into a last run of that digit
+    # append a run of k + 1 digits, merging it into a last run of that digit;
+    # a merge of counters that carry values is held as an int until _node
     if runs and runs[-1][0] == o_digit:
-        runs[-1] = (o_digit, _join(runs[-1][1], k))
+        a = runs[-1][1]
+        u, v = a if type(a) is int else a._value, k._value
+        if u is not None and v is not None:
+            runs[-1] = (o_digit, u + v + 1)
+        else:
+            runs[-1] = (o_digit, _join(_as_counter(a), k))
     else:
         runs.append((o_digit, k))
+
+
+def _as_counter(k) -> Tree:
+    # a run counter as a tree: ints from _put merges come from the table
+    if type(k) is not int:
+        return k
+    return _counter(k) if k < sys.maxsize else TREE.from_int(k)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -545,11 +583,13 @@ def _join(a: Tree, k: Tree) -> Tree:
 
 
 def memo_stats() -> dict[str, dict[str, int]]:
-    """Hits, misses and entry count of the two counter memos: ``gap``
-    (order and distance of two counters) and ``join`` (two runs of one digit
-    merged).  Reading them costs the memos nothing."""
+    """Hits, misses and entry count of the counter table, ``counter`` (one
+    counter per value that fits a word), and of the two counter memos:
+    ``gap`` (order and distance of two counters) and ``join`` (two runs of
+    one digit merged).  Reading them costs the table and memos nothing."""
     return {name: {"hits": info.hits, "misses": info.misses, "size": info.currsize}
-            for name, info in (("gap", _gap.cache_info()), ("join", _join.cache_info()))}
+            for name, info in (("counter", _counter.cache_info()), ("gap", _gap.cache_info()),
+                               ("join", _join.cache_info()))}
 
 
 def _node(runs: list, rest: Tree) -> Tree:
@@ -560,8 +600,8 @@ def _node(runs: list, rest: Tree) -> Tree:
         tail = rest.tail
     if not runs:
         return LEAF
-    o_digit, head = runs[0]
-    return (VNode if o_digit else WNode)(head, (*(k for _, k in runs[1:]), *tail))
+    head, *counters = [_as_counter(k) if type(k) is int else k for _, k in runs]
+    return (VNode if runs[0][0] else WNode)(head, (*counters, *tail))
 
 
 def node_count(x: Tree) -> int:
@@ -750,8 +790,28 @@ def random_tree(rng: Random, max_depth: int = 4) -> Tree:
 
 TREE = TreeNatRep()
 
-# The digit primitives above rebind these rather than going through the
-# singleton, keeping the succ/pred mutual recursion on counters cheap.
-_SUCC = TREE.succ
-_PRED = TREE.pred
-_ADD = TREE.add
+# The counter steps.  The digit primitives above call these rather than the
+# singleton: on table counters they are int steps, on any other counter, or
+# past the table's bound, TREE's recursive steps, bound here once.
+_tree_succ, _tree_pred, _tree_add = TREE.succ, TREE.pred, TREE.add
+
+
+def _SUCC(x: Tree) -> Tree:
+    v = x._value
+    if v is not None and v + 1 < sys.maxsize:
+        return _counter(v + 1)
+    return _tree_succ(x)
+
+
+def _PRED(x: Tree) -> Tree:
+    v = x._value
+    if v:  # neither unknown nor zero, whose pred raises
+        return _counter(v - 1)
+    return _tree_pred(x)
+
+
+def _ADD(x: Tree, y: Tree) -> Tree:
+    u, v = x._value, y._value
+    if u is not None and v is not None and u + v < sys.maxsize:
+        return _counter(u + v)
+    return _tree_add(x, y)

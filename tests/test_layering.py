@@ -151,3 +151,30 @@ def test_bitwise_ops_never_build_the_set_view():
                 named = isinstance(f, ast.Name) and (
                     f.id == "DomainError" or f.id.startswith("l_") and f.id != "l_op")
                 assert on_rep or named, f"{fn.name}:{call.lineno}"
+
+
+def test_counter_value_is_written_only_by_the_table():
+    # a node carries a value only when the table's constructor _counter gave
+    # it one; the node constructors only clear the slot, so no other code
+    # path can cache a wrong value
+    writes = []  # (enclosing function, whether the write stores None)
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                cleared = isinstance(child, ast.Assign) and isinstance(child.value, ast.Constant) \
+                    and child.value.value is None
+                writes.extend((fn, cleared) for target in targets for t in ast.walk(target)
+                              if isinstance(t, ast.Attribute) and t.attr == "_value")
+            named = isinstance(child, ast.Call) and any(
+                isinstance(a, ast.Constant) and a.value == "_value" for a in child.args)
+            deleted = isinstance(child, ast.Delete) and any(
+                isinstance(t, ast.Attribute) and t.attr == "_value" for t in child.targets)
+            if named or deleted:  # setattr(x, "_value", v), del x._value
+                writes.append((fn, False))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else fn)
+
+    visit(ast.parse((PACKAGE / "tree.py").read_text()), None)
+    assert [fn for fn, cleared in writes if not cleared] == ["_counter"]
+    assert {fn for fn, cleared in writes if cleared} == {"__init__"}

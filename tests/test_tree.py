@@ -17,10 +17,17 @@ from giantnat.codecs import from_set
 from giantnat.numtheory import PRIME45, fermat, mersenne, mersenne45, perfect45
 from giantnat import tree as tree_module
 from giantnat.tree import (
+    _ADD,
     _MEMO_SIZE,
+    _PRED,
+    _SUCC,
     MAX_DEPTH,
+    _counter,
     _gap,
     _join,
+    _node,
+    _put,
+    _stretches,
     dag_to_dot,
     fold_to_dag,
     memo_stats,
@@ -547,9 +554,12 @@ def _random_arith(rng, count):
 def test_counter_memos_stay_within_their_bound():
     before = memo_stats()
     _random_arith(random.Random(910), 600)
+    for k in range(1, 2 * _MEMO_SIZE):  # a run of k digits: table counter k - 1
+        t((1 << k) - 1)
     after = memo_stats()
-    assert after["gap"]["misses"] - before["gap"]["misses"] > _MEMO_SIZE  # it filled up
-    for name in ("gap", "join"):
+    for name in ("counter", "gap"):  # each filled up
+        assert after[name]["misses"] - before[name]["misses"] > _MEMO_SIZE
+    for name in ("counter", "gap", "join"):
         assert after[name]["size"] <= _MEMO_SIZE
         assert after[name]["hits"] >= before[name]["hits"]
 
@@ -557,7 +567,8 @@ def test_counter_memos_stay_within_their_bound():
 def test_results_equal_with_memos_cleared_and_warm():
     rng = random.Random(911)
     cold = []
-    for _ in range(100):  # each pair's ops start from empty memos
+    for _ in range(100):  # each pair's ops start from an empty table and memos
+        _counter.cache_clear()
         _gap.cache_clear()
         _join.cache_clear()
         cold += _random_arith(rng, 1)
@@ -565,6 +576,79 @@ def test_results_equal_with_memos_cleared_and_warm():
     warm = _random_arith(random.Random(911), 100)
     assert memo_stats()["gap"]["hits"] > hits
     assert warm == cold
+
+
+def _plain(x):
+    # x rebuilt node by node, so that no counter in it carries its value
+    return parse_tree(print_tree(x))
+
+
+def _walk_gap(a, b):
+    # order and distance of two counters as _stretches finds them, from the
+    # one-run values a + 1 and b + 1
+    _, rest_a, rest_b = _stretches(VNode(a, ()), VNode(b, ()))
+    if rest_a is LEAF and rest_b is LEAF:
+        return EQ, None
+    return (LT, rest_b.head) if rest_a is LEAF else (GT, rest_a.head)
+
+
+def _walk_join(a, b):
+    runs = [(True, a)]
+    _put(runs, True, b)
+    return _node(runs, LEAF).head
+
+
+def test_counter_table_agrees_with_recursive_steps():
+    # the int steps on table counters against TREE's recursive steps and the
+    # memos' bodies, from zero up and across the word edge, where a value
+    # stops being carried, mixed with counters that carry no value
+    rng = random.Random(915)
+    edge = [base + d for base in (1 << 62, sys.maxsize, 1 << 63) for d in range(-3, 4)]
+    counters = [t(v) if v >= sys.maxsize else _counter(v) for v in [*range(301), *edge]]
+    counters += [_plain(c) for c in rng.sample(counters, 30)] + [_tower(k) for k in range(1, 6)]
+    results = []
+    for a in counters:
+        results += [_SUCC(a), _PRED(a) if a is not LEAF else LEAF]
+        assert results[-2] == TREE.succ(a)
+        if a is not LEAF:
+            assert results[-1] == TREE.pred(a)
+        for b in rng.sample(counters, 10):
+            results += [_ADD(a, b), _walk_join(a, b)]
+            assert results[-2] == TREE.add(a, b)
+            assert results[-1] == _join.__wrapped__(a, b)
+            if a != b:
+                gap = _walk_gap(a, b)
+                results.append(gap[1])
+                assert gap == _gap.__wrapped__(a, b)
+            else:
+                assert _walk_gap(a, b) == (EQ, None)
+    for c in counters + results:
+        if c._value is not None:
+            assert c._value < sys.maxsize
+            assert c._value == TREE.to_int(_plain(c))
+    # a counter past the word carries no value, so its run is still refused
+    top = _SUCC(_counter(sys.maxsize - 1))
+    assert top._value is None and TREE.to_int(_plain(top)) == sys.maxsize
+    with pytest.raises(DomainError):
+        TREE.to_int(VNode(top, ()))
+
+
+def test_separate_conversions_share_counters():
+    x = t(runs_int([(True, 5), (False, 40), (True, 2)]))
+    y = t(runs_int([(False, 3), (True, 40)]))
+    assert x.tail[0] is y.tail[0]  # both runs of 40 digits
+
+
+def test_adding_fresh_giant_operands_takes_the_int_path():
+    # operands converted from ints hold table counters only, so the walk of
+    # their stretches needs neither memo, even when both start empty
+    rng = random.Random(916)
+    _, _, a, b = _long_run_operands(rng, 1 << 11)  # random digit profile
+    _gap.cache_clear()
+    _join.cache_clear()
+    assert TREE.to_int(TREE.add(t(a), t(b))) == a + b
+    stats = memo_stats()
+    assert stats["gap"]["misses"] == stats["join"]["misses"] == 0
 
 
 def test_threads_sharing_the_memos_agree_with_bignat():
