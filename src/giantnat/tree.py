@@ -39,10 +39,10 @@ so sparse sets with elements past ``sys.maxsize``, whose runs no list
 holds, combine at node level.  Counters that fit a word come from one
 table, one object per value, and carry their value: the counter steps on
 them (succ, pred, add, and in the run walks the order and distance of two
-counters and the merge of two runs) are int steps.  The run walks memoize
-the recursive steps of other counters (towers, counters past a word), so
-on operands of many short runs the cost follows the distinct counters
-rather than the stretches (see :func:`memo_stats`).
+counters and the merge of two runs) are int steps, so on operands of many
+short runs the cost follows the distinct counters rather than the runs.
+Small computed or parsed counters join the table where they enter a node;
+only towers and counters past a word take the recursive steps.
 """
 
 from __future__ import annotations
@@ -211,13 +211,13 @@ class TreeNatRep(NatRep):
         raise DomainError("predecessor of zero")
 
     def bitsize(self, x: Tree) -> Tree:
-        # sum the run lengths read off the outermost node's counters
+        # x's runs merged into one: carried counters sum as ints, off the table
         if x is LEAF:
             return LEAF
-        acc = x.head
-        for counter in reversed(x.tail):
-            acc = _SUCC(_ADD(counter, acc))
-        return _SUCC(acc)
+        runs: list = []
+        for counter in (x.head, *x.tail):
+            _put(runs, True, counter)
+        return _SUCC(_as_counter(runs[0][1]))
 
     def dual(self, x: Tree) -> Tree:
         # swapping every digit swaps every run: flip only the top tag
@@ -229,13 +229,10 @@ class TreeNatRep(NatRep):
         return LEAF
 
     def repsize(self, x: Tree) -> Tree:
-        # count of non-leaf nodes
-        if x is LEAF:
-            return LEAF
-        acc: Tree = LEAF
-        for child in reversed((x.head, *x.tail)):
-            acc = _ADD(self.repsize(child), acc)
-        return _SUCC(acc)
+        # count of non-leaf nodes, counted as an int and converted once
+        def count(u: Tree) -> int:
+            return 0 if u is LEAF else 1 + count(u.head) + sum(map(count, u.tail))
+        return _as_counter(count(x))
 
     def run_count(self, o_digit: bool, x: Tree) -> Tree:
         if type(x) is (VNode if o_digit else WNode):
@@ -255,12 +252,11 @@ class TreeNatRep(NatRep):
             return self.dual(self.run_times(True, k, self.dual(y)))
         if k is LEAF:
             return y
-        if y is LEAF:
-            return VNode(_PRED(k), ())
+        k = _canon(k)  # often a computed value, such as a difference of bitsizes
         if type(y) is VNode:
             # y already opens with an o run; k joins its counter
             return VNode(_ADD(k, y.head), y.tail)
-        return VNode(_PRED(k), (y.head, *y.tail))
+        return VNode(_PRED(k), () if y is LEAF else (y.head, *y.tail))
 
     # cmp, add and _sub_if_fits read both operands one common stretch of
     # runs at a time (see _stretches): their cost follows run counts and tree
@@ -334,7 +330,7 @@ class TreeNatRep(NatRep):
         # second operand is the digits x lacks
         if k is LEAF or x is LEAF:
             return x, True
-        stretches, rest, rest_k = _stretches(x, VNode(_PRED(k), ()))
+        stretches, rest, rest_k = _stretches(x, VNode(_PRED(_canon(k)), ()))
         if rest_k is not LEAF:
             return LEAF, True
         return rest, all(xo for xo, _, _ in stretches)
@@ -443,15 +439,12 @@ def _stretches(x: Tree, y: Tree):
 # 2^11-digit operand has 1024 runs but 11 distinct counters.  A counter of
 # value v < sys.maxsize (its run v + 1 fits an index, as _runs requires)
 # comes from one table, _counter, and carries v: conversions draw their
-# counters from it, and a counter step on table counters is an int step
-# whose result comes from the table.  Other counters take the recursive
-# steps; the two the run walks repeat, _gap and _join, are memoized, keyed
-# by the nodes' structural hash and ==.  The table and each memo hold at
-# most _MEMO_SIZE entries, least recently used going first (an evicted
-# entry is only rebuilt, and keeps its value): the op lists of the three
-# perfbench workloads on two seeds, then add, sub and cmp of 30 fresh
-# random 2^11-digit pairs, left 180 entries in the table, 70 in _gap's and
-# 14 in _join's; the bound leaves five times that room.
+# counters from it, _canon brings in small computed and parsed ones, and a
+# counter step on them is an int step to a table counter; towers and
+# counters past a word take the recursive steps.  The table keeps the
+# _MEMO_SIZE most recently used (an evicted counter is only rebuilt, with
+# its value): a pass of a perfbench op list from an empty table left 72-73
+# entries on giant-tree, 15 on desk-numtheory and 133-143 on codec-cli.
 _MEMO_SIZE = 1024
 
 
@@ -466,7 +459,22 @@ def _counter(n: int) -> Tree:
     return c
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+def _canon(k: Tree) -> Tree:
+    # k as the table's counter when its counters carry values and its digits
+    # fit a word, else k itself.  A run of n + 1 digits d (o worth 1, i
+    # worth 2) at offset s adds d (2^(n+1) - 1) 2^s to the value.
+    if k._value is not None:
+        return k
+    value, digits, d = 0, 0, 1 if type(k) is VNode else 2
+    for c in (k.head, *k.tail):
+        n = c._value
+        if n is None or digits + n >= _MAX_RUN_DIGITS:
+            return k
+        value += d * ((2 << n) - 1) << digits
+        digits, d = digits + n + 1, 3 - d
+    return _counter(value)
+
+
 def _gap(a: Tree, b: Tree):
     # Order of two distinct counters, and one less than their distance, from
     # one walk of both: comparing and then subtracting would walk them twice,
@@ -557,14 +565,14 @@ def _rest(o_digit: bool, counter: Tree, counters: tuple, j: int) -> Tree:
 
 def _put(runs: list, o_digit, k: Tree) -> None:
     # append a run of k + 1 digits, merging it into a last run of that digit;
-    # a merge of counters that carry values is held as an int until _node
+    # a merge of counters that carry values is held as an int (see _as_counter)
     if runs and runs[-1][0] == o_digit:
         a = runs[-1][1]
         u, v = a if type(a) is int else a._value, k._value
         if u is not None and v is not None:
             runs[-1] = (o_digit, u + v + 1)
         else:
-            runs[-1] = (o_digit, _join(_as_counter(a), k))
+            runs[-1] = (o_digit, _SUCC(_ADD(_as_counter(a), k)))
     else:
         runs.append((o_digit, k))
 
@@ -576,20 +584,11 @@ def _as_counter(k) -> Tree:
     return _counter(k) if k < sys.maxsize else TREE.from_int(k)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _join(a: Tree, k: Tree) -> Tree:
-    # the counter of a run of a + 1 digits followed by k + 1 more
-    return _SUCC(_ADD(a, k))
-
-
 def memo_stats() -> dict[str, dict[str, int]]:
-    """Hits, misses and entry count of the counter table, ``counter`` (one
-    counter per value that fits a word), and of the two counter memos:
-    ``gap`` (order and distance of two counters) and ``join`` (two runs of
-    one digit merged).  Reading them costs the table and memos nothing."""
-    return {name: {"hits": info.hits, "misses": info.misses, "size": info.currsize}
-            for name, info in (("counter", _counter.cache_info()), ("gap", _gap.cache_info()),
-                               ("join", _join.cache_info()))}
+    """Hits, misses and entry count of the counter table, ``counter``: one
+    counter per value that fits a word.  Reading them costs it nothing."""
+    info = _counter.cache_info()
+    return {"counter": {"hits": info.hits, "misses": info.misses, "size": info.currsize}}
 
 
 def _node(runs: list, rest: Tree) -> Tree:
@@ -677,8 +676,8 @@ def unfold_dag(dag: Dag) -> Tree:
         else:
             if not children:
                 raise ValueError("inner node without a head counter")
-            head = build(children[0])
-            tail = tuple(build(c) for c in children[1:])
+            head = _canon(build(children[0]))
+            tail = tuple(_canon(build(c)) for c in children[1:])
             t = VNode(head, tail) if tag == "V" else WNode(head, tail)
         building.discard(nid)
         memo[nid] = t
@@ -768,7 +767,8 @@ def _parse_node(s: str, pos: int, depth: int) -> tuple[Tree, int]:
             else:
                 break
     pos = _expect(s, pos, "]")
-    return ctor(head, tuple(items)), pos
+    # counters from the table, but not the root: parsed values would fill it
+    return ctor(_canon(head), tuple(map(_canon, items))), pos
 
 
 # ----------------------------------------------------------------------

@@ -22,9 +22,9 @@ from giantnat.tree import (
     _PRED,
     _SUCC,
     MAX_DEPTH,
+    _canon,
     _counter,
     _gap,
-    _join,
     _node,
     _put,
     _stretches,
@@ -173,6 +173,17 @@ def test_bitsize_fast_agrees_with_generic():
     assert TREE.to_int(TREE.bitsize(t(42))) == 5
     for x in [t(k) for k in range(2049)] + [mersenne45()]:
         assert TREE.bitsize(x) == NatRep.bitsize(TREE, x)
+    # counters that carry no value, from the generator, towers and copies
+    rng = random.Random(921)
+    trees = [random_tree(rng, 3) for _ in range(200)] + [_tower(k) for k in range(1, 6)]
+    for x in trees + [_plain(x) for x in trees + [t(rng.getrandbits(500)) for _ in range(20)]]:
+        try:
+            want = NatRep.bitsize(TREE, x)
+        except DomainError:  # a run no int holds: sum the run lengths on trees
+            want = LEAF
+            for c in (x.head, *x.tail):
+                want = TREE.add(want, TREE.succ(c))
+        assert TREE.bitsize(x) == want
 
 
 def test_bitsize_fast_mersenne45():
@@ -205,10 +216,10 @@ def test_repsize_and_node_count():
         return 1 + sum(count_inner(c) for c in (x.head, *x.tail))
 
     rng = random.Random(99)
-    for _ in range(200):
-        x = random_tree(rng)
+    trees = [random_tree(rng) for _ in range(200)] + [_tower(k) for k in range(1, 6)]
+    for x in trees + [_plain(x) for x in trees + [t(rng.getrandbits(500)) for _ in range(20)]]:
         assert TREE.to_int(TREE.repsize(x)) == count_inner(x)
-        assert node_count(x) >= count_inner(x)
+        assert node_count(x) == len(_all_counters(x))
 
 
 def test_cons_decons_fast_reference_values():
@@ -494,6 +505,24 @@ def test_arith_on_deepest_towers():
     assert TREE.pred(TREE.sub(z, x)) == TREE.sub(TREE.pred(z), x)
 
 
+def test_ops_on_a_tower_of_300_exp2():
+    # a depth the recursive walks reach under the default recursion limit
+    # (a tower of 340 raises RecursionError): no change may lower it
+    def tower(depth):
+        x = LEAF
+        for _ in range(depth):
+            below, x = x, TREE.exp2(x)
+        return below, x
+
+    below, x = tower(300)
+    assert x == tower(300)[1]
+    assert TREE.cmp(x, TREE.succ(x)) is LT and TREE.cmp(TREE.succ(x), x) is GT
+    assert TREE.sub(TREE.add(x, x), x) == x
+    assert TREE.mul(x, x) == TREE.exp2(TREE.add(below, below))
+    assert TREE.bitsize(x) == below  # 2^n is one i digit then n - 1 o digits
+    assert unfold_dag(fold_to_dag(x)) == x
+
+
 # ----------------------------------------------------------------------
 # counter memos
 # ----------------------------------------------------------------------
@@ -517,8 +546,9 @@ def _tower(levels):
 
 
 def test_counter_memos_agree_with_their_bodies():
-    # each memo gives what its undecorated body computes and, where the
-    # counters expand, what ints give: the order and |a - b| - 1, a + k + 1
+    # the recursive step _gap gives what ints give where the counters
+    # expand, the order and |a - b| - 1, and on every counter, giants and
+    # towers too, the smaller plus the gap plus one is the larger
     rng = random.Random(909)
     counters = [t(rng.getrandbits(rng.randrange(1, 80))) for _ in range(20)]
     counters += [c for _ in range(10) for c in _all_counters(random_tree(rng, 3))]
@@ -528,15 +558,14 @@ def test_counter_memos_agree_with_their_bodies():
     for a in counters:
         va = value_if_feasible(a)
         for b in rng.sample(counters, 12):
-            vb = value_if_feasible(b)
-            assert _join(a, b) == _join.__wrapped__(a, b)
-            if va is not None and vb is not None:
-                assert _join(a, b) == t(va + vb + 1)
             if a == b:
                 continue
-            assert _gap(a, b) == _gap.__wrapped__(a, b)
+            order, gap = _gap(a, b)
+            small, big = (a, b) if order is LT else (b, a)
+            assert order in (LT, GT) and TREE.succ(TREE.add(small, gap)) == big
+            vb = value_if_feasible(b)
             if va is not None and vb is not None:
-                assert _gap(a, b) == (LT if va < vb else GT, t(abs(va - vb) - 1))
+                assert (order, gap) == (LT if va < vb else GT, t(abs(va - vb) - 1))
 
 
 def _random_arith(rng, count):
@@ -556,31 +585,29 @@ def test_counter_memos_stay_within_their_bound():
     _random_arith(random.Random(910), 600)
     for k in range(1, 2 * _MEMO_SIZE):  # a run of k digits: table counter k - 1
         t((1 << k) - 1)
-    after = memo_stats()
-    for name in ("counter", "gap"):  # each filled up
-        assert after[name]["misses"] - before[name]["misses"] > _MEMO_SIZE
-    for name in ("counter", "gap", "join"):
-        assert after[name]["size"] <= _MEMO_SIZE
-        assert after[name]["hits"] >= before[name]["hits"]
+    before, after = before["counter"], memo_stats()["counter"]
+    assert after["misses"] - before["misses"] > _MEMO_SIZE  # the table filled up
+    assert after["size"] <= _MEMO_SIZE
+    assert after["hits"] >= before["hits"]
 
 
 def test_results_equal_with_memos_cleared_and_warm():
     rng = random.Random(911)
     cold = []
-    for _ in range(100):  # each pair's ops start from an empty table and memos
+    for _ in range(100):  # each pair's ops start from an empty table
         _counter.cache_clear()
-        _gap.cache_clear()
-        _join.cache_clear()
         cold += _random_arith(rng, 1)
-    hits = memo_stats()["gap"]["hits"]
+    hits = memo_stats()["counter"]["hits"]
     warm = _random_arith(random.Random(911), 100)
-    assert memo_stats()["gap"]["hits"] > hits
+    assert memo_stats()["counter"]["hits"] > hits
     assert warm == cold
 
 
 def _plain(x):
     # x rebuilt node by node, so that no counter in it carries its value
-    return parse_tree(print_tree(x))
+    if x is LEAF:
+        return LEAF
+    return type(x)(_plain(x.head), tuple(map(_plain, x.tail)))
 
 
 def _walk_gap(a, b):
@@ -599,8 +626,8 @@ def _walk_join(a, b):
 
 
 def test_counter_table_agrees_with_recursive_steps():
-    # the int steps on table counters against TREE's recursive steps and the
-    # memos' bodies, from zero up and across the word edge, where a value
+    # the int steps on table counters against TREE's recursive steps and
+    # _gap, from zero up and across the word edge, where a value
     # stops being carried, mixed with counters that carry no value
     rng = random.Random(915)
     edge = [base + d for base in (1 << 62, sys.maxsize, 1 << 63) for d in range(-3, 4)]
@@ -615,11 +642,11 @@ def test_counter_table_agrees_with_recursive_steps():
         for b in rng.sample(counters, 10):
             results += [_ADD(a, b), _walk_join(a, b)]
             assert results[-2] == TREE.add(a, b)
-            assert results[-1] == _join.__wrapped__(a, b)
+            assert results[-1] == TREE.succ(TREE.add(a, b))
             if a != b:
                 gap = _walk_gap(a, b)
                 results.append(gap[1])
-                assert gap == _gap.__wrapped__(a, b)
+                assert gap == _gap(a, b)
             else:
                 assert _walk_gap(a, b) == (EQ, None)
     for c in counters + results:
@@ -639,16 +666,87 @@ def test_separate_conversions_share_counters():
     assert x.tail[0] is y.tail[0]  # both runs of 40 digits
 
 
-def test_adding_fresh_giant_operands_takes_the_int_path():
+def _count_gaps(monkeypatch):
+    # a list that grows by one on every call of the recursive counter step
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return _gap(a, b)
+
+    monkeypatch.setattr(tree_module, "_gap", counted)
+    return calls
+
+
+def test_adding_fresh_giant_operands_takes_the_int_path(monkeypatch):
     # operands converted from ints hold table counters only, so the walk of
-    # their stretches needs neither memo, even when both start empty
+    # their stretches never takes the recursive step
     rng = random.Random(916)
     _, _, a, b = _long_run_operands(rng, 1 << 11)  # random digit profile
-    _gap.cache_clear()
-    _join.cache_clear()
-    assert TREE.to_int(TREE.add(t(a), t(b))) == a + b
-    stats = memo_stats()
-    assert stats["gap"]["misses"] == stats["join"]["misses"] == 0
+    x, y = t(a), t(b)
+    calls = _count_gaps(monkeypatch)
+    assert TREE.to_int(TREE.add(x, y)) == a + b
+    assert not calls
+
+
+def test_parsed_and_computed_small_counters_come_from_the_table():
+    rng = random.Random(917)
+    for _ in range(20):
+        x = t(rng.getrandbits(rng.randrange(2, 300)))
+        for copy in (parse_tree(print_tree(x)), unfold_dag(fold_to_dag(_plain(x)))):
+            assert copy == x
+            assert all(c._value is not None for c in _all_counters(copy)[1:])
+    # a computed k has no value of its own; the run it makes is a table
+    # counter.  o^k(y) = 2^k (y + 1) - 1 and i^k(y) = 2^k (y + 2) - 2
+    for a, b in [(5, 3), (100, 37), (5000, 1)]:
+        k = TREE.sub(t(a), t(b))
+        assert k._value is None
+        for o_digit in (True, False):
+            for y in (0, 12345, 54321, 2**50):
+                got = TREE.run_times(o_digit, k, t(y))
+                d = 1 if o_digit else 2
+                assert TREE.to_int(got) == ((y + d) << (a - b)) - d
+                assert got.head._value is not None
+    # the word edge: sys.maxsize - 1 has 62 digits and is the table's last
+    # value; sys.maxsize has 63 and stays out
+    assert _canon(t(sys.maxsize - 1))._value == sys.maxsize - 1
+    assert _canon(t(sys.maxsize))._value is None
+
+
+def test_tree_text_to_decimal_takes_no_recursive_counter_step(monkeypatch):
+    from giantnat.cli import convert_text
+
+    rng = random.Random(918)
+    values = [rng.getrandbits(768) for _ in range(5)]
+    texts = [print_tree(t(v)) for v in values]
+    calls = _count_gaps(monkeypatch)
+    assert [convert_text("tree", "dec", text) for text in texts] == [str(v) for v in values]
+    assert not calls
+
+
+def test_desk_sized_division_takes_no_recursive_counter_step(monkeypatch):
+    # ordinary operands, as number theory divides them: every counter is
+    # small, so the walks take int steps only
+    rng = random.Random(919)
+    pairs = [(rng.getrandbits(rng.randrange(1, 300)), rng.randrange(1, 1 << rng.randrange(1, 120)))
+             for _ in range(200)]
+    pairs += [(n, p) for n in range(200, 260) for p in (2, 3, 5, 7, 8, 64)]
+    operands = [(t(a), t(b)) for a, b in pairs]
+    calls = _count_gaps(monkeypatch)
+    for (a, b), (x, y) in zip(pairs, operands):
+        assert tuple(map(TREE.to_int, TREE.div_and_rem(x, y))) == divmod(a, b)
+    assert not calls
+
+
+def test_bitsize_and_repsize_of_a_giant_take_few_table_misses():
+    rng = random.Random(920)
+    v = rng.getrandbits(4096) | 1 << 4095
+    x = t(v)
+    inner = sum(c is not LEAF for c in _all_counters(x))
+    for op, want in ((TREE.bitsize, oracle_bitsize(v)), (TREE.repsize, inner)):
+        misses = memo_stats()["counter"]["misses"]
+        assert TREE.to_int(op(x)) == want
+        assert memo_stats()["counter"]["misses"] - misses <= 3
 
 
 def test_threads_sharing_the_memos_agree_with_bignat():
@@ -666,7 +764,7 @@ def test_threads_sharing_the_memos_agree_with_bignat():
             failures.append(exc)
 
     # more threads than cores, switching often, so that they interleave
-    # inside the memos' lookups and inserts
+    # inside the counter table's lookups and inserts
     failures = []
     threads = [threading.Thread(target=work, args=(seed, failures)) for seed in (912, 913, 914)]
     interval = sys.getswitchinterval()
