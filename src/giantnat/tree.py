@@ -37,12 +37,12 @@ stretches of x - 1 and y - 1, whose digits are the bits of x and y below
 their top 1 bits, and keeps or drops the rest of the longer operand whole,
 so sparse sets with elements past ``sys.maxsize``, whose runs no list
 holds, combine at node level.  Counters that fit a word come from one
-table, one object per value, and carry their value: the counter steps on
-them (succ, pred, add, and in the run walks the order and distance of two
-counters and the merge of two runs) are int steps, so on operands of many
-short runs the cost follows the distinct counters rather than the runs.
-Small computed or parsed counters join the table where they enter a node;
-only towers and counters past a word take the recursive steps.
+table, one object per value, and carry their value: succ, pred and add
+open with an int step on them, as do the run walks' order and distance of
+two counters and merge of two runs, so on operands of many short runs the
+cost follows the distinct counters rather than the runs.  Small computed
+or parsed counters join the table where they enter a node; only towers
+and counters past a word take the recursive steps.
 """
 
 from __future__ import annotations
@@ -186,20 +186,25 @@ class TreeNatRep(NatRep):
         return type(x) is WNode
 
     # fast overrides; semantics identical to the generic definitions, which
-    # stay their oracle.  succ and pred build one node each, one case per
-    # shape of the outermost node, with at most one succ or pred on a counter.
+    # stay their oracle.  succ and pred step a table counter as an int, and
+    # otherwise build one node each, one case per shape of the outermost
+    # node, with at most one succ or pred on a counter.
 
     def succ(self, x: Tree) -> Tree:
-        t = type(x)
-        if t is VNode:  # the outermost o digit becomes an i digit
+        v = x._value  # a table counter, zero included, steps as an int
+        if v is not None and v + 1 < sys.maxsize:
+            return _counter(v + 1)
+        if type(x) is VNode:  # the outermost o digit becomes an i digit
             return _flip(WNode, x.head, x.tail)
-        if t is WNode:  # an i run over r becomes an o run as long over r + 1
-            if x.tail:
-                return _flip_under(VNode, x.head, x.tail)
-            return VNode(_SUCC(x.head), ())
-        return VNode(LEAF, ())
+        # an i run over r becomes an o run as long over r + 1
+        if x.tail:
+            return _flip_under(VNode, x.head, x.tail)
+        return VNode(_SUCC(x.head), ())
 
     def pred(self, x: Tree) -> Tree:
+        v = x._value
+        if v:  # a table counter other than zero steps as an int
+            return _counter(v - 1)
         t = type(x)
         if t is WNode:  # the outermost i digit becomes an o digit
             return _flip(VNode, x.head, x.tail)
@@ -270,6 +275,9 @@ class TreeNatRep(NatRep):
         return _order(*_stretches(x, y))
 
     def add(self, x: Tree, y: Tree) -> Tree:
+        u, v = x._value, y._value
+        if u is not None and v is not None and u + v < sys.maxsize:
+            return _counter(u + v)
         if x is LEAF:
             return y
         if y is LEAF:
@@ -410,7 +418,7 @@ def _stretches(x: Tree, y: Tree):
                 order, gap = LT, _counter(b - a - 1)
             else:
                 order, gap = GT, _counter(a - b - 1)
-        elif rx is ry or (rx is not LEAF and ry is not LEAF and rx == ry):
+        elif rx is ry:
             order = EQ
         else:
             order, gap = _gap(rx, ry)
@@ -476,15 +484,18 @@ def _canon(k: Tree) -> Tree:
 
 
 def _gap(a: Tree, b: Tree):
-    # Order of two distinct counters, and one less than their distance, from
-    # one walk of both: comparing and then subtracting would walk them twice,
-    # and so on every level below, exponentially in the depth.
+    # Order of any two counters, and one less than their distance (None when
+    # equal), from one walk of both: comparing and then subtracting would
+    # walk them twice, and so on every level below, exponentially in the depth.
+    if b is LEAF:
+        return (EQ, None) if a is LEAF else (GT, _PRED(a))
     if a is LEAF:
         return LT, _PRED(b)
-    if b is LEAF:
-        return GT, _PRED(a)
     stretches, rest_a, rest_b = _stretches(a, b)
-    if _order(stretches, rest_a, rest_b) is LT:
+    order = _order(stretches, rest_a, rest_b)
+    if order is EQ:
+        return EQ, None
+    if order is LT:
         return LT, _PRED(_diff([(bo, ao, k) for ao, bo, k in stretches], rest_b))
     return GT, _PRED(_diff(stretches, rest_a))
 
@@ -655,7 +666,9 @@ def fold_to_dag(t: Tree) -> Dag:
 
 
 def unfold_dag(dag: Dag) -> Tree:
-    """Rebuild the tree a DAG was folded from."""
+    """Rebuild the tree a DAG was folded from; raises ValueError on a
+    malformed one (an unknown id or tag, a cycle, a leaf with children or an
+    inner node without a head counter)."""
     tags = dict(dag.nodes)
     memo: dict[int, Tree] = {}
     building: set[int] = set()
@@ -666,8 +679,12 @@ def unfold_dag(dag: Dag) -> Tree:
             return got
         if nid in building:
             raise ValueError("cycle in DAG")
+        tag = tags.get(nid)
+        if tag is None or not 0 <= nid < len(dag.edges):
+            raise ValueError(f"no node {nid} in DAG")
+        if tag not in ("T", "V", "W"):
+            raise ValueError(f"unknown tag {tag!r} in DAG")
         building.add(nid)
-        tag = tags[nid]
         children = dag.edges[nid]
         if tag == "T":
             if children:
@@ -714,8 +731,10 @@ def print_tree(x: Tree) -> str:
 
 
 # Deepest nesting parse_tree accepts.  The recursive walks over trees
-# (printing, folding, ==, hash) need a few frames per level; no arithmetic
-# result nests anywhere near this deep.
+# (printing, folding, ==, hash) and the counter steps take a frame or two
+# per level: under Python's default recursion limit, a tower of repeated
+# exp2 supports every op (==, hash, succ, pred, cmp, add, sub, mul, bitsize,
+# folding) to about 480 levels.  No arithmetic result nests near this deep.
 MAX_DEPTH = 256
 
 
@@ -790,28 +809,7 @@ def random_tree(rng: Random, max_depth: int = 4) -> Tree:
 
 TREE = TreeNatRep()
 
-# The counter steps.  The digit primitives above call these rather than the
-# singleton: on table counters they are int steps, on any other counter, or
-# past the table's bound, TREE's recursive steps, bound here once.
-_tree_succ, _tree_pred, _tree_add = TREE.succ, TREE.pred, TREE.add
-
-
-def _SUCC(x: Tree) -> Tree:
-    v = x._value
-    if v is not None and v + 1 < sys.maxsize:
-        return _counter(v + 1)
-    return _tree_succ(x)
-
-
-def _PRED(x: Tree) -> Tree:
-    v = x._value
-    if v:  # neither unknown nor zero, whose pred raises
-        return _counter(v - 1)
-    return _tree_pred(x)
-
-
-def _ADD(x: Tree, y: Tree) -> Tree:
-    u, v = x._value, y._value
-    if u is not None and v is not None and u + v < sys.maxsize:
-        return _counter(u + v)
-    return _tree_add(x, y)
+# The counter steps, which the digit primitives and the walks call as
+# globals: names of their own let a tracer count counter steps apart from
+# top-level calls.
+_SUCC, _PRED, _ADD = TREE.succ, TREE.pred, TREE.add

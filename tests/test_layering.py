@@ -178,3 +178,13 @@ def test_counter_value_is_written_only_by_the_table():
     visit(ast.parse((PACKAGE / "tree.py").read_text()), None)
     assert [fn for fn, cleared in writes if not cleared] == ["_counter"]
     assert {fn for fn, cleared in writes if cleared} == {"__init__"}
+
+
+def test_counter_steps_are_trees_own_methods():
+    # one counter step: the names the walks and the tracer use are TREE's
+    # bound methods, with no module function wrapped round them
+    defined = {node.name for node in ast.parse((PACKAGE / "tree.py").read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_SUCC", "_PRED", "_ADD"}
+    for alias, method in (("_SUCC", "succ"), ("_PRED", "pred"), ("_ADD", "add")):
+        assert getattr(giantnat.tree, alias).__func__ is getattr(giantnat.tree.TreeNatRep, method)

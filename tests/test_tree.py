@@ -22,6 +22,7 @@ from giantnat.tree import (
     _PRED,
     _SUCC,
     MAX_DEPTH,
+    Dag,
     _canon,
     _counter,
     _gap,
@@ -507,7 +508,7 @@ def test_arith_on_deepest_towers():
 
 def test_ops_on_a_tower_of_300_exp2():
     # a depth the recursive walks reach under the default recursion limit
-    # (a tower of 340 raises RecursionError): no change may lower it
+    # with room to spare: no change may lower it
     def tower(depth):
         x = LEAF
         for _ in range(depth):
@@ -520,6 +521,25 @@ def test_ops_on_a_tower_of_300_exp2():
     assert TREE.sub(TREE.add(x, x), x) == x
     assert TREE.mul(x, x) == TREE.exp2(TREE.add(below, below))
     assert TREE.bitsize(x) == below  # 2^n is one i digit then n - 1 o digits
+    assert unfold_dag(fold_to_dag(x)) == x
+
+
+def test_ops_on_a_tower_of_450_exp2():
+    # close to the reach under the default recursion limit: a counter step
+    # is one frame per level and the run walk orders counters with _gap,
+    # never with a second, deep ==; near 500 levels every op here raises
+    # RecursionError (ROADMAP item 7)
+    x = LEAF
+    for _ in range(450):
+        below, x = x, TREE.exp2(x)
+    plain = _plain(x)
+    assert x == plain and hash(x) == hash(plain)
+    up = TREE.succ(x)
+    assert TREE.pred(up) == x and TREE.succ(TREE.pred(x)) == x
+    assert TREE.cmp(x, up) is LT and TREE.cmp(up, x) is GT
+    assert TREE.sub(TREE.add(x, x), x) == x
+    assert TREE.mul(x, x) == TREE.exp2(TREE.add(below, below))
+    assert TREE.bitsize(x) == below
     assert unfold_dag(fold_to_dag(x)) == x
 
 
@@ -556,9 +576,12 @@ def test_counter_memos_agree_with_their_bodies():
               _tower(6), TREE.exp2(TREE.exp2(t(2**40)))):
         counters += _all_counters(x)
     for a in counters:
+        # _gap orders any two counters: equal ones, value or not, give EQ
+        assert _gap(a, a) == _gap(a, _plain(a)) == _gap(_plain(a), a) == (EQ, None)
         va = value_if_feasible(a)
         for b in rng.sample(counters, 12):
             if a == b:
+                assert _gap(a, b) == (EQ, None)
                 continue
             order, gap = _gap(a, b)
             small, big = (a, b) if order is LT else (b, a)
@@ -635,20 +658,19 @@ def test_counter_table_agrees_with_recursive_steps():
     counters += [_plain(c) for c in rng.sample(counters, 30)] + [_tower(k) for k in range(1, 6)]
     results = []
     for a in counters:
+        # the references take the node path: _plain copies carry no value
         results += [_SUCC(a), _PRED(a) if a is not LEAF else LEAF]
-        assert results[-2] == TREE.succ(a)
+        assert results[-2] == TREE.succ(_plain(a))
         if a is not LEAF:
-            assert results[-1] == TREE.pred(a)
+            assert results[-1] == TREE.pred(_plain(a))
         for b in rng.sample(counters, 10):
             results += [_ADD(a, b), _walk_join(a, b)]
-            assert results[-2] == TREE.add(a, b)
-            assert results[-1] == TREE.succ(TREE.add(a, b))
-            if a != b:
-                gap = _walk_gap(a, b)
+            assert results[-2] == TREE.add(_plain(a), _plain(b))
+            assert results[-1] == TREE.succ(TREE.add(_plain(a), _plain(b)))
+            gap = _walk_gap(a, b)
+            assert gap == _gap(a, b)
+            if gap[1] is not None:
                 results.append(gap[1])
-                assert gap == _gap(a, b)
-            else:
-                assert _walk_gap(a, b) == (EQ, None)
     for c in counters + results:
         if c._value is not None:
             assert c._value < sys.maxsize
@@ -987,6 +1009,22 @@ def test_fold_unfold_round_trip():
         assert unfold_dag(dag) == x
         assert len(dag.nodes) <= node_count(x)
         assert dag.root == 0
+
+
+def test_unfold_refuses_malformed_dags():
+    dag = fold_to_dag(t(42))
+    cases = {
+        "unknown tag": Dag(((0, "X"), (1, "T")), ((1,), ()), 0),
+        "no node 5": Dag(dag.nodes, (dag.edges[0], (5,), ()), 0),
+        "no node 7": Dag(dag.nodes, dag.edges, 7),
+        "no node -1": Dag(dag.nodes, dag.edges, -1),
+        "cycle": Dag(((0, "V"), (1, "W")), ((1,), (0,)), 0),
+        "leaf node with children": Dag(((0, "V"), (1, "T")), ((1,), (1,)), 0),
+        "inner node without a head counter": Dag(((0, "W"),), ((),), 0),
+    }
+    for message, bad in cases.items():
+        with pytest.raises(ValueError, match=message):
+            unfold_dag(bad)
 
 
 def test_dot_output_shape():
