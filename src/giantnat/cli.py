@@ -96,18 +96,19 @@ def _cmd_special(args) -> int:
     _nonnegative(args.max_dec_bits, "--max-dec-bits", "bit count")
     p = _nonnegative(args.p, f"special {args.kind}", "p")
     value = _SPECIAL_BUILDERS[args.kind](TREE.from_int(p))
-    out = args.output
+    out, hint = args.output, " (raise --max-dec-bits to override)"
     if out == "tree":
         print(print_tree(value))
-    elif out == "bitsize":
-        print(print_decimal(TREE.to_int(TREE.bitsize(value))))
+    elif out == "bitsize":  # a giant value's bitsize is a giant decimal too
+        size = TREE.bitsize(value)
+        _check_cap(TREE.bitsize(size), args.max_dec_bits, "decimal expansion", "bits", hint)
+        print(print_decimal(TREE.to_int(size)))
     elif out == "nodes":
         print(len(fold_to_dag(value).nodes))
     elif out == "dot":
         sys.stdout.write(dag_to_dot(fold_to_dag(value)))
     else:  # dec
-        _check_cap(TREE.bitsize(value), args.max_dec_bits, "decimal expansion", "bits",
-                   " (raise --max-dec-bits to override)")
+        _check_cap(TREE.bitsize(value), args.max_dec_bits, "decimal expansion", "bits", hint)
         print(print_decimal(TREE.to_int(value)))
     return 0
 

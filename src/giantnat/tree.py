@@ -38,11 +38,11 @@ their top 1 bits, and keeps or drops the rest of the longer operand whole,
 so sparse sets with elements past ``sys.maxsize``, whose runs no list
 holds, combine at node level.  Counters that fit a word come from one
 table, one object per value, and carry their value: succ, pred and add
-open with an int step on them, as do the run walks' order and distance of
-two counters and merge of two runs, so on operands of many short runs the
-cost follows the distinct counters rather than the runs.  Small computed
-or parsed counters join the table where they enter a node; only towers
-and counters past a word take the recursive steps.
+open with an int step on them, and the run walks hold them as ints from
+order to merge, so on operands of many short runs a stretch costs a few
+int steps, not a counter walk.  Small computed or parsed counters join
+the table where they enter a node; only towers and counters past a word
+take the recursive steps.
 """
 
 from __future__ import annotations
@@ -401,46 +401,47 @@ def _stretches(x: Tree, y: Tree):
     # Split two nonzero trees into common stretches, outermost first:
     # (x digit is o, y digit is o, counter), the stretch one digit longer
     # than its counter.  Each takes the shorter of the two current runs off
-    # both.  Also returns what is left of x and of y once one of them ends;
+    # both.  What is left of a run is held as its counter's value where it
+    # carries one, so two of them order and subtract as ints; others take
+    # _gap.  Also returns what is left of x and of y once one of them ends;
     # at least one of the two is zero.
     xs, ys = (x.head, *x.tail), (y.head, *y.tail)
     nx, ny = len(xs), len(ys)
-    xo, yo = type(x) is VNode, type(y) is VNode
-    rx, ry = xs[0], ys[0]  # counters of what is left of the current runs
-    i = j = 0
+    xo, yo = type(x) is not VNode, type(y) is not VNode  # flipped as a run opens
+    a = b = None  # what is left of the current runs, None once taken
+    i = j = -1
     out = []
+    put = out.append
     while True:
-        a, b = rx._value, ry._value
-        if a is not None and b is not None:  # two table counters: int steps
-            if a == b:
-                order = EQ
-            elif a < b:
-                order, gap = LT, _counter(b - a - 1)
-            else:
-                order, gap = GT, _counter(a - b - 1)
-        elif rx is ry:
-            order = EQ
-        else:
-            order, gap = _gap(rx, ry)
-        if order is EQ:
-            out.append((xo, yo, rx))
-            rx = ry = None
-        elif order is LT:
-            out.append((xo, yo, rx))
-            rx, ry = None, gap
-        else:
-            out.append((xo, yo, ry))
-            rx, ry = gap, None
-        if rx is None:
+        if a is None:
             i += 1
             if i < nx:
-                rx, xo = xs[i], not xo
-        if ry is None:
+                c, xo = xs[i], not xo
+                a = c if c._value is None else c._value
+        if b is None:
             j += 1
             if j < ny:
-                ry, yo = ys[j], not yo
+                c, yo = ys[j], not yo
+                b = c if c._value is None else c._value
         if i == nx or j == ny:
-            return out, _rest(xo, rx, xs, i), _rest(yo, ry, ys, j)
+            return out, _rest(xo, a, xs, i), _rest(yo, b, ys, j)
+        if type(a) is int and type(b) is int:
+            if a > b:
+                put((xo, yo, b))
+                a, b = a - b - 1, None
+            else:
+                put((xo, yo, a))
+                a, b = None, b - a - 1 if a < b else None
+            continue
+        order, gap = (EQ, None) if a is b else _gap(_as_counter(a), _as_counter(b))
+        if gap is not None and gap._value is not None:
+            gap = gap._value
+        if order is GT:
+            put((xo, yo, b))
+            a, b = gap, None
+        else:
+            put((xo, yo, a))
+            a, b = None, gap
 
 
 # The run walks meet the same few counters again and again: a random
@@ -451,8 +452,8 @@ def _stretches(x: Tree, y: Tree):
 # counter step on them is an int step to a table counter; towers and
 # counters past a word take the recursive steps.  The table keeps the
 # _MEMO_SIZE most recently used (an evicted counter is only rebuilt, with
-# its value): a pass of a perfbench op list from an empty table left 72-73
-# entries on giant-tree, 15 on desk-numtheory and 133-143 on codec-cli.
+# its value): a pass of a perfbench op list from an empty table left 59-60
+# entries on giant-tree, 15 on desk-numtheory and 123-144 on codec-cli.
 _MEMO_SIZE = 1024
 
 
@@ -514,29 +515,45 @@ def _order(stretches: list, rest_x: Tree, rest_y: Tree) -> Ordering:
     return EQ
 
 
+# The bijective base-2 carry (or borrow) automaton: with o worth 1 and i
+# worth 2, a digit of x + y (sign 1) or x - y (sign -1) under carry c is
+# s = dx + sign * (dy + c); the result digit is o when s is odd, and the
+# next carry is sign * (s - digit) / 2, always 0, 1 or 2.
+# _CARRY[sign][4 c + 2 xo + yo] is (result digit is o, next carry).
+_CARRY = {sign: tuple((s & 1 == 1, sign * (s - 2 + (s & 1)) // 2)
+                      for c in range(3) for xy in range(4)
+                      for s in [2 - (xy >> 1) + sign * (2 - (xy & 1) + c)])
+          for sign in (1, -1)}
+
+
 def _carry_runs(stretches: list, sign: int):
     # Runs of x + y (sign 1) or x - y (sign -1) over the common stretches,
-    # outermost first, and the carry (or borrow) left past them.  With o
-    # worth 1 and i worth 2, each digit is s = dx + sign * (dy + carry): the
-    # result digit is o when s is odd, and the next carry is
-    # sign * (s - digit) / 2, always 0, 1 or 2.  It settles after at most
-    # two digits, so a stretch gives at most two single digits and a run.
-    runs: list = []
+    # outermost first, and the carry (or borrow) left past them.  The carry
+    # settles within two digits, so a stretch gives at most two single
+    # digits and a run, merged into the last run, held open, as ints where
+    # the counters carry values.
+    table = _CARRY[sign]
+    runs: list = []  # its first entry stands for the run before the first
+    last_o = last_k = None
     carry = 0
     for xo, yo, k in stretches:
-        dx, dy = 2 - xo, 2 - yo
         while True:
-            s = dx + sign * (dy + carry)
-            d_o = s & 1
-            nxt = sign * (s - 2 + d_o) // 2
-            if nxt == carry:  # settled: the rest of the stretch repeats d
-                _put(runs, d_o, k)
-                break
-            _put(runs, d_o, LEAF)
+            o, nxt = table[4 * carry + 2 * xo + yo]
+            settled = nxt == carry  # the rest of the stretch repeats o
+            n = k if settled else 0
+            if o != last_o:
+                runs.append((last_o, last_k))
+                last_o, last_k = o, n
+            elif type(last_k) is int and type(n) is int:
+                last_k += n + 1
+            else:
+                last_k = _SUCC(_ADD(_as_counter(last_k), _as_counter(n)))
             carry = nxt
-            if k is LEAF:
+            if settled or not k or k is LEAF:  # k is an int, or a counter once stepped
                 break
-            k = _PRED(k)
+            k = k - 1 if type(k) is int else _PRED(k)
+    runs.append((last_o, last_k))
+    del runs[0]
     return runs, carry
 
 
@@ -567,29 +584,30 @@ def _drop_top_i(runs: list) -> bool:
     return True
 
 
-def _rest(o_digit: bool, counter: Tree, counters: tuple, j: int) -> Tree:
-    # the tree left from run j on, whose first run is cut down to counter
+def _rest(o_digit: bool, left, counters: tuple, j: int) -> Tree:
+    # the tree left from run j on, whose first run is cut down to left, a
+    # counter or its value
     if j == len(counters):
         return LEAF
-    return (VNode if o_digit else WNode)(counter, counters[j + 1:])
+    return (VNode if o_digit else WNode)(_as_counter(left), counters[j + 1:])
 
 
-def _put(runs: list, o_digit, k: Tree) -> None:
-    # append a run of k + 1 digits, merging it into a last run of that digit;
-    # a merge of counters that carry values is held as an int (see _as_counter)
+def _put(runs: list, o_digit, k) -> None:
+    # append a run of k + 1 digits, k a counter or its value, merging it into
+    # a last run of that digit
     if runs and runs[-1][0] == o_digit:
         a = runs[-1][1]
-        u, v = a if type(a) is int else a._value, k._value
-        if u is not None and v is not None:
+        u, v = a if type(a) is int else a._value, k if type(k) is int else k._value
+        if u is not None and v is not None:  # held as an int (see _as_counter)
             runs[-1] = (o_digit, u + v + 1)
         else:
-            runs[-1] = (o_digit, _SUCC(_ADD(_as_counter(a), k)))
+            runs[-1] = (o_digit, _SUCC(_ADD(_as_counter(a), _as_counter(k))))
     else:
         runs.append((o_digit, k))
 
 
 def _as_counter(k) -> Tree:
-    # a run counter as a tree: ints from _put merges come from the table
+    # a run counter as a tree: ints from the walks and merges come from the table
     if type(k) is not int:
         return k
     return _counter(k) if k < sys.maxsize else TREE.from_int(k)
@@ -610,7 +628,9 @@ def _node(runs: list, rest: Tree) -> Tree:
         tail = rest.tail
     if not runs:
         return LEAF
-    head, *counters = [_as_counter(k) if type(k) is int else k for _, k in runs]
+    # most runs are ints that fit a word: they take the table without a call
+    head, *counters = [_counter(k) if type(k) is int and k < sys.maxsize else _as_counter(k)
+                       for _, k in runs]
     return (VNode if runs[0][0] else WNode)(head, (*counters, *tail))
 
 

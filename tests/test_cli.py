@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from giantnat.bignat import print_decimal
+from giantnat.bignat import oracle_bitsize, print_decimal
 from giantnat.cli import bench_lines, convert_text, main
 
 MERSENNE45_TEXT = (
@@ -131,6 +131,21 @@ def test_special_rejects_a_negative_dec_cap(capsys):
     code, out, err = run(capsys, "special", "mersenne", "5", "--output", "dec", "--max-dec-bits", "-1")
     assert code == 1 and out == ""
     assert err == "giantnat: error: --max-dec-bits needs a nonnegative bit count, got -1\n"
+
+
+def test_special_fermat_bitsize_respects_the_dec_cap(capsys):
+    # the bitsize of F(p) = 2^(2^p) + 1 is a decimal of about p bits
+    start = time.perf_counter()
+    code, out, err = run(capsys, "special", "fermat", str(10**9), "--output", "bitsize")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert "refusing decimal expansion" in err and len(err.strip().splitlines()) == 1
+    code, out, err = run(
+        capsys, "special", "fermat", "30", "--output", "bitsize", "--max-dec-bits", "10"
+    )
+    assert code == 1 and out == "" and "raise --max-dec-bits" in err
+    code, out, _ = run(capsys, "special", "fermat", "20", "--output", "bitsize")
+    assert code == 0 and out == f"{oracle_bitsize(2 ** 2**20 + 1)}\n"
 
 
 def test_special_perfect_needs_two(capsys):

@@ -140,6 +140,16 @@ def test_generic_bitwise_has_no_run_merge():
     assert not _has_loop(_natrep_methods()["bitwise"])
 
 
+def test_carry_walk_merges_its_runs_itself():
+    # the carry walk reads one table and holds its last run open: no _put
+    # per digit and no table counter per stretch
+    carry_runs = next(fn for fn in ast.parse((PACKAGE / "tree.py").read_text()).body
+                      if isinstance(fn, ast.FunctionDef) and fn.name == "_carry_runs")
+    called = {call.func.id for call in ast.walk(carry_runs)
+              if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+    assert called and not called & {"_put", "_counter"}
+
+
 def test_bitwise_ops_never_build_the_set_view():
     # l_and, l_or, ... call rep methods (bitwise) and each other, and raise
     # DomainError; only l_op transports a set merge through the set views

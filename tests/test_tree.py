@@ -18,6 +18,7 @@ from giantnat.numtheory import PRIME45, fermat, mersenne, mersenne45, perfect45
 from giantnat import tree as tree_module
 from giantnat.tree import (
     _ADD,
+    _CARRY,
     _MEMO_SIZE,
     _PRED,
     _SUCC,
@@ -856,6 +857,105 @@ def test_bitwise_identities_on_giants():
             assert TREE.add(o, n) == TREE.add(a, b)
             assert TREE.bitwise(XOR, a, b) == TREE.sub(o, n)
             assert time.perf_counter() - start < 0.05
+
+
+def _mixed_operands(rng, count, pools):
+    # count trees of 1..8 runs whose counters are drawn from the pools in turn
+    out = []
+    while len(out) < count:
+        counters = [rng.choice(pools[j % len(pools)]) for j in range(rng.randrange(1, 9))]
+        rng.shuffle(counters)
+        out.append(rng.choice((VNode, WNode))(counters[0], tuple(counters[1:])))
+    return out
+
+
+def test_run_walk_on_mixed_counters():
+    # the walk holds table counters as ints and meets counters without a
+    # value (_plain copies, past a word, towers) through _gap; an int left
+    # of a run may meet such a counter, and counters 0 and 1 make stretches
+    # that the carry leaves unsettled
+    rng = random.Random(1800)
+    small = [_counter(v) for v in (0, 0, 1, 1, 2, 3, *rng.sample(range(4, 301), 10))]
+    small += [_plain(c) for c in small[2:]]
+    edge = [t(v) if v >= sys.maxsize else _counter(v) for v in range(sys.maxsize - 3, sys.maxsize + 4)]
+    big = edge + [_tower(k) for k in range(1, 7)]
+    dif = (0, 0, 1, 0)
+    expandable = _mixed_operands(rng, 24, [small])
+    for x in expandable:
+        a = TREE.to_int(x)
+        for k in (0, 1, 2, 7, 64, 301, a.bit_length()):
+            q, r = TREE.split(t(k), x)
+            assert (TREE.to_int(q), TREE.to_int(r)) == divmod(a, 1 << k)
+        for y in expandable:
+            b = TREE.to_int(y)
+            assert TREE.cmp(x, y).value == (a > b) - (a < b)
+            assert TREE.to_int(TREE.add(x, y)) == a + b
+            fits = TREE._sub_if_fits(x, y)
+            assert fits is None if a < b else TREE.to_int(fits) == a - b
+            for table in BIT_TABLES:
+                assert TREE.bitwise(table, x, y) == NatRep.bitwise(TREE, table, x, y)
+    giants = _mixed_operands(rng, 24, [small, big])
+    flip = {LT: GT, EQ: EQ, GT: LT}
+    for x in giants:
+        px = _plain(x)
+        for k in (*map(t, (0, 1, 2, 7, 301)), TREE.succ(x.head), TREE.add(x.head, t(2))):
+            q, r = TREE.split(k, x)
+            assert TREE.add(TREE.leftshift(k, q), r) == x and TREE.cmp(r, TREE.exp2(k)) is LT
+        for y in giants + expandable[:6]:
+            s = TREE.add(x, y)
+            assert TREE.add(px, _plain(y)) == s == TREE.add(y, x)
+            assert TREE.sub(s, y) == x and TREE.sub(s, x) == y
+            order = TREE.cmp(x, y)
+            assert TREE.cmp(y, x) is flip[order] and TREE.cmp(px, y) is order
+            for u, v, uv in ((x, y, order), (y, x, flip[order])):
+                fits = TREE._sub_if_fits(u, v)
+                assert (fits is None) == (uv is LT)
+                assert fits is None or TREE.add(fits, v) == u
+            o, n = TREE.bitwise(OR, x, y), TREE.bitwise(AND, x, y)
+            assert TREE.add(o, n) == s
+            assert TREE.bitwise(XOR, x, y) == TREE.sub(o, n)
+            assert TREE.bitwise(dif, x, y) == TREE.sub(x, n)
+
+
+def test_carry_table_is_the_automaton():
+    # with o worth 1 and i worth 2, every entry conserves value
+    for sign in (1, -1):
+        assert len(_CARRY[sign]) == 12
+        for carry in range(3):
+            for xo in (0, 1):
+                for yo in (0, 1):
+                    o, nxt = _CARRY[sign][4 * carry + 2 * xo + yo]
+                    d, dx, dy = 2 - o, 2 - xo, 2 - yo
+                    assert nxt in (0, 1, 2)
+                    assert d + 2 * nxt == dx + dy + carry if sign == 1 else d - 2 * nxt == dx - dy - carry
+
+
+def test_stretch_counts_follow_runs_not_bits(monkeypatch):
+    # the walk emits stretches in proportion to the operands' runs: F(k) has
+    # three runs and M(2^k) one whatever k, and an add of random operands
+    # never emits more stretches than the two operands have runs
+    counts = []
+
+    def counting(u, v, walk=tree_module._stretches):
+        out = walk(u, v)
+        counts.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(tree_module, "_stretches", counting)
+    per_k = set()
+    for k in range(10, 21):
+        f, m = fermat(TREE, t(k)), mersenne(TREE, t(1 << k))
+        counts.clear()
+        TREE.add(f, m)
+        TREE.sub(f, m)
+        per_k.add(tuple(counts))
+    assert len(per_k) == 1 and max(next(iter(per_k))) <= 3
+    rng = random.Random(1801)
+    for k in range(8, 12):
+        x, y = t(rng.getrandbits(1 << k)), t(rng.getrandbits(1 << k))
+        counts.clear()
+        TREE.add(x, y)
+        assert sum(counts) <= len(x.tail) + 1 + len(y.tail) + 1
 
 
 # ----------------------------------------------------------------------
