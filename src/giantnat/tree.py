@@ -22,20 +22,21 @@ paper: either the outermost digit turns into the other one, or the whole
 outermost run does and the digit under it turns.  Each builds one new node
 with at most one succ or pred on a counter, so their cost follows the
 depth of the tree rather than the length of a run.
-cmp, add and the subtraction step ``_sub_if_fits`` read both operands a
-common stretch of runs at a time: add and subtraction run a bijective
-base-2 carry (or borrow) automaton that settles within two digits of a
-stretch, and cmp lets the operand that ends first, or else the innermost
-differing stretch, decide.  ``_sub_if_fits`` gives the order and, where y
-fits, the difference from one walk.  The generic sub, long division and
-run-fold mul are built on these three and the run helpers, so they too go
-a run at a time.  A conversion reads or writes one counter per run.
-split drops its k digits as the common stretches of x and the all-o value
-2^k - 1, a whole run at a time, so dividing by a power of two follows the
-run count and the depth, however long the runs.  bitwise merges the common
+add and the subtraction step ``_sub_if_fits`` read both operands once, a
+common stretch of runs at a time, and run each stretch through a bijective
+base-2 carry (or borrow) automaton, which settles within two digits of a
+stretch, as the walk finds it; the final borrow and what is left of each
+operand tell whether y fits.  cmp sums the digit counts its operands'
+counters carry and, if they are equal, lets the innermost differing pair of
+runs decide.  The generic sub, long division and run-fold mul are built on
+these three and the run helpers, so they too go a run at a time.  A
+conversion reads or writes one counter per run.  split drops its k digits
+as the common stretches of x and the all-o value 2^k - 1, a whole run at a
+time, so dividing by a power of two follows the run count and the depth,
+however long the runs.  bitwise merges, in the same walk, the common
 stretches of x - 1 and y - 1, whose digits are the bits of x and y below
-their top 1 bits, and keeps or drops the rest of the longer operand whole,
-so sparse sets with elements past ``sys.maxsize``, whose runs no list
+their top 1 bits, and keeps or drops the rest of the longer operand whole, so
+sparse sets with elements past ``sys.maxsize``, whose runs no list
 holds, combine at node level.  Counters that fit a word come from one
 table, one object per value, and carry their value: succ, pred and add
 open with an int step on them, and the run walks hold them as ints from
@@ -50,6 +51,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count as _count
 from random import Random
 
 from .core import EQ, GT, LT, DomainError, NatRep, Ordering, ParseError, int_runs, runs_int
@@ -263,16 +265,36 @@ class TreeNatRep(NatRep):
             return VNode(_ADD(k, y.head), y.tail)
         return VNode(_PRED(k), () if y is LEAF else (y.head, *y.tail))
 
-    # cmp, add and _sub_if_fits read both operands one common stretch of
-    # runs at a time (see _stretches): their cost follows run counts and tree
-    # depth.  The generic sub and mul reach them through this class.
+    # add, _sub_if_fits and bitwise read both operands once, one common
+    # stretch of runs at a time (see _walk), and cmp reads carried digit
+    # counts and then runs from the innermost end: their cost follows run
+    # counts and tree depth.  The generic sub and mul reach them through
+    # this class.
 
     def cmp(self, x: Tree, y: Tree) -> Ordering:
         if x is LEAF:
             return EQ if y is LEAF else LT
         if y is LEAF:
             return GT
-        return _order(*_stretches(x, y))
+        xs, ys = (x.head, *x.tail), (y.head, *y.tail)
+        try:  # every counter carries its value: the longer operand is larger
+            d = sum([c._value for c in xs]) + len(xs) - sum([c._value for c in ys]) - len(ys)
+        except TypeError:
+            return _order(*_walk(x, y, _PAIRS)[:3])
+        if d:
+            return GT if d > 0 else LT
+        # equal digit counts: the first pair of runs from the innermost that
+        # differs in digit or, as runs alternate, in length decides
+        i, j = len(xs) - 1, len(ys) - 1
+        o = (type(x) is VNode) != i & 1  # x's innermost digit is o
+        if o != ((type(y) is VNode) != j & 1):
+            return LT if o else GT
+        while i >= 0:
+            a, b = xs[i]._value, ys[j]._value
+            if a != b:  # the shorter run meets the other digit first
+                return LT if (a > b) is o else GT
+            i, j, o = i - 1, j - 1, not o
+        return EQ
 
     def add(self, x: Tree, y: Tree) -> Tree:
         u, v = x._value, y._value
@@ -282,25 +304,26 @@ class TreeNatRep(NatRep):
             return y
         if y is LEAF:
             return x
-        stretches, rest_x, rest_y = _stretches(x, y)
-        runs, carry = _carry_runs(stretches, 1)
+        runs, rest_x, rest_y, carry, _ = _walk(x, y, _CARRY[1])
         rest = rest_y if rest_x is LEAF else rest_x
         for _ in range(carry):
             rest = _SUCC(rest)
         return _node(runs, rest)
 
     def _sub_if_fits(self, x: Tree, y: Tree) -> Tree | None:
-        # one walk gives both the order and the difference
+        # one walk gives the difference or, from the final borrow and what
+        # is left of each operand, that y exceeds x
         if y is LEAF:
             return x
         if x is LEAF:
             return None
-        stretches, rest_x, rest_y = _stretches(x, y)
-        return None if _order(stretches, rest_x, rest_y) is LT else _diff(stretches, rest_x)
+        runs, rest, rest_y, borrow, _ = _walk(x, y, _CARRY[-1])
+        return None if rest_y is not LEAF else _borrowed(runs, borrow, rest)
 
     def bitwise(self, table: tuple[int, int, int, int], x: Tree, y: Tree) -> Tree:
         # the digits of x - 1 and y - 1 are the bits of x and y below their
-        # top 1 bits (o as 0): each common stretch of them gives one run
+        # top 1 bits (o as 0): each common stretch of them gives one run,
+        # through a table of the walk's shape whose carry is always 0
         if table[0]:
             raise DomainError("a bitwise table mapping two 0 bits to 1 has no finite result")
         if x is LEAF:
@@ -308,11 +331,9 @@ class TreeNatRep(NatRep):
         if y is LEAF:
             return x if table[2] else LEAF
         a, b = _PRED(x), _PRED(y)
-        stretches, rest_a, rest_b = ([], a, b) if a is LEAF or b is LEAF else _stretches(a, b)
         o_out = [not bit for bit in reversed(table)]  # index 2 xo + yo
-        runs: list = []
-        for ao, bo, k in stretches:
-            _put(runs, o_out[2 * ao + bo], k)
+        runs, rest_a, rest_b = (([], a, b) if a is LEAF or b is LEAF
+                                else _walk(a, b, tuple((o, 0) for o in o_out))[:3])
         rest = None  # what is left of the longer operand, when it is kept
         if rest_a is LEAF and rest_b is LEAF:  # the two top 1 bits meet
             _put(runs, o_out[0], LEAF)
@@ -338,10 +359,10 @@ class TreeNatRep(NatRep):
         # second operand is the digits x lacks
         if k is LEAF or x is LEAF:
             return x, True
-        stretches, rest, rest_k = _stretches(x, VNode(_PRED(_canon(k)), ()))
+        stretches, rest, rest_k, _, _ = _walk(x, VNode(_PRED(_canon(k)), ()), _PAIRS)
         if rest_k is not LEAF:
             return LEAF, True
-        return rest, all(xo for xo, _, _ in stretches)
+        return rest, all(xy == 3 for xy, _ in stretches)
 
     # A run is one counter: its length is the counter + 1.
 
@@ -397,51 +418,76 @@ def _runs(x: Tree) -> tuple[list, int]:
     return runs, digits
 
 
-def _stretches(x: Tree, y: Tree):
-    # Split two nonzero trees into common stretches, outermost first:
-    # (x digit is o, y digit is o, counter), the stretch one digit longer
-    # than its counter.  Each takes the shorter of the two current runs off
-    # both.  What is left of a run is held as its counter's value where it
-    # carries one, so two of them order and subtract as ints; others take
-    # _gap.  Also returns what is left of x and of y once one of them ends;
-    # at least one of the two is zero.
+def _walk(x: Tree, y: Tree, table: tuple):
+    # Two nonzero trees read in common stretches, outermost first, each the
+    # shorter of the two current runs taken off both and one digit longer
+    # than its counter k, and each run through the automaton table (see
+    # _CARRY) as it is found: the result's runs merge into the last one,
+    # held open.  What is left of a run is held as its counter's value where
+    # it carries one, so two of them order and subtract as ints; others
+    # take _gap.  Returns the runs, what is left of x and of y once one of
+    # them ends (at least one is zero), the carry and the stretch count.
     xs, ys = (x.head, *x.tail), (y.head, *y.tail)
     nx, ny = len(xs), len(ys)
-    xo, yo = type(x) is not VNode, type(y) is not VNode  # flipped as a run opens
+    xy = 2 * (type(x) is not VNode) + (type(y) is not VNode)  # 2 xo + yo, flipped as a run opens
     a = b = None  # what is left of the current runs, None once taken
     i = j = -1
-    out = []
-    put = out.append
-    while True:
+    runs: list = []  # its first entry stands for the run before the first
+    put = runs.append
+    last_o = last_k = None
+    carry = c4 = 0  # c4 is 4 carry
+    for count in _count():
         if a is None:
             i += 1
             if i < nx:
-                c, xo = xs[i], not xo
-                a = c if c._value is None else c._value
+                c, xy = xs[i], xy ^ 2
+                a = c._value
+                if a is None:
+                    a = c
         if b is None:
             j += 1
             if j < ny:
-                c, yo = ys[j], not yo
-                b = c if c._value is None else c._value
+                c, xy = ys[j], xy ^ 1
+                b = c._value
+                if b is None:
+                    b = c
         if i == nx or j == ny:
-            return out, _rest(xo, a, xs, i), _rest(yo, b, ys, j)
-        if type(a) is int and type(b) is int:
+            put((last_o, last_k))
+            del runs[0]
+            return runs, _rest(xy & 2, a, xs, i), _rest(xy & 1, b, ys, j), carry, count
+        try:  # two ints; a counter without a value raises
             if a > b:
-                put((xo, yo, b))
-                a, b = a - b - 1, None
+                k, a, b = b, a - b - 1, None
             else:
-                put((xo, yo, a))
-                a, b = None, b - a - 1 if a < b else None
-            continue
-        order, gap = (EQ, None) if a is b else _gap(_as_counter(a), _as_counter(b))
-        if gap is not None and gap._value is not None:
-            gap = gap._value
-        if order is GT:
-            put((xo, yo, b))
-            a, b = gap, None
-        else:
-            put((xo, yo, a))
-            a, b = None, gap
+                k, a, b = a, None, b - a - 1 if a < b else None
+        except TypeError:
+            order, gap = (EQ, None) if a is b else _gap(_as_counter(a), _as_counter(b))
+            if gap is not None and gap._value is not None:
+                gap = gap._value
+            k, a, b = (b, gap, None) if order is GT else (a, None, gap)
+        while True:  # the carry settles within two digits
+            o, nxt = table[c4 + xy]
+            n = k if nxt == carry else 0  # settled: the rest of the stretch repeats o
+            if o != last_o:
+                put((last_o, last_k))
+                last_o, last_k = o, n
+            else:
+                try:
+                    last_k += n + 1
+                except TypeError:
+                    last_k = _SUCC(_ADD(_as_counter(last_k), _as_counter(n)))
+            if nxt == carry:
+                break
+            carry, c4 = nxt, 4 * nxt
+            if not k or k is LEAF:  # k is an int, or a counter once stepped
+                break
+            k = k - 1 if type(k) is int else _PRED(k)
+
+
+# The stretches themselves, (2 xo + yo, k), for _gap, _drop_digits and cmp
+# on counters without a value: a table that keeps the digit pair, which
+# changes from each stretch to the next, so none merge.
+_PAIRS = tuple((xy, 0) for xy in range(4))
 
 
 # The run walks meet the same few counters again and again: a random
@@ -486,32 +532,33 @@ def _canon(k: Tree) -> Tree:
 
 def _gap(a: Tree, b: Tree):
     # Order of any two counters, and one less than their distance (None when
-    # equal), from one walk of both: comparing and then subtracting would
-    # walk them twice, and so on every level below, exponentially in the depth.
+    # equal), from one walk of both and one borrow pass over its stretches:
+    # comparing and then subtracting would walk them twice, and so on every
+    # level below, exponentially in the depth.
     if b is LEAF:
         return (EQ, None) if a is LEAF else (GT, _PRED(a))
     if a is LEAF:
         return LT, _PRED(b)
-    stretches, rest_a, rest_b = _stretches(a, b)
+    stretches, rest_a, rest_b, _, _ = _walk(a, b, _PAIRS)
     order = _order(stretches, rest_a, rest_b)
     if order is EQ:
         return EQ, None
-    if order is LT:
-        return LT, _PRED(_diff([(bo, ao, k) for ao, bo, k in stretches], rest_b))
-    return GT, _PRED(_diff(stretches, rest_a))
+    if order is LT:  # b - a: each digit pair swapped
+        stretches, rest_a = [((0, 2, 1, 3)[xy], k) for xy, k in stretches], rest_b
+    return order, _PRED(_borrowed(*_carry_runs(stretches), rest_a))
 
 
 def _order(stretches: list, rest_x: Tree, rest_y: Tree) -> Ordering:
-    # x against y from their common stretches and what is left of each: the
-    # operand that ends first is smaller, else the innermost stretch where
-    # the digits differ decides
+    # x against y from their _PAIRS stretches and what is left of each, for
+    # _gap and cmp on counters without a value: the operand that ends first
+    # is smaller, else the innermost stretch where the digits differ decides
     if rest_x is not LEAF:
         return GT
     if rest_y is not LEAF:
         return LT
-    for xo, yo, _ in reversed(stretches):
-        if xo != yo:
-            return LT if xo else GT
+    for xy, _ in reversed(stretches):
+        if xy == 1 or xy == 2:
+            return LT if xy == 2 else GT
     return EQ
 
 
@@ -526,21 +573,17 @@ _CARRY = {sign: tuple((s & 1 == 1, sign * (s - 2 + (s & 1)) // 2)
           for sign in (1, -1)}
 
 
-def _carry_runs(stretches: list, sign: int):
-    # Runs of x + y (sign 1) or x - y (sign -1) over the common stretches,
-    # outermost first, and the carry (or borrow) left past them.  The carry
-    # settles within two digits, so a stretch gives at most two single
-    # digits and a run, merged into the last run, held open, as ints where
-    # the counters carry values.
-    table = _CARRY[sign]
-    runs: list = []  # its first entry stands for the run before the first
+def _carry_runs(stretches: list):
+    # _walk's borrow automaton over a list of stretches, for _gap: the runs
+    # of x - y and the borrow past them
+    table = _CARRY[-1]
+    runs: list = []  # as in _walk
     last_o = last_k = None
     carry = 0
-    for xo, yo, k in stretches:
+    for xy, k in stretches:
         while True:
-            o, nxt = table[4 * carry + 2 * xo + yo]
-            settled = nxt == carry  # the rest of the stretch repeats o
-            n = k if settled else 0
+            o, nxt = table[4 * carry + xy]
+            n = k if nxt == carry else 0
             if o != last_o:
                 runs.append((last_o, last_k))
                 last_o, last_k = o, n
@@ -548,8 +591,10 @@ def _carry_runs(stretches: list, sign: int):
                 last_k += n + 1
             else:
                 last_k = _SUCC(_ADD(_as_counter(last_k), _as_counter(n)))
+            if nxt == carry:
+                break
             carry = nxt
-            if settled or not k or k is LEAF:  # k is an int, or a counter once stepped
+            if not k or k is LEAF:
                 break
             k = k - 1 if type(k) is int else _PRED(k)
     runs.append((last_o, last_k))
@@ -557,17 +602,17 @@ def _carry_runs(stretches: list, sign: int):
     return runs, carry
 
 
-def _diff(stretches: list, rest: Tree) -> Tree:
-    # x - y for x >= y, from their common stretches and what is left of x
-    runs, borrow = _carry_runs(stretches, -1)
+def _borrowed(runs: list, borrow: int, rest: Tree) -> Tree | None:
+    # x - y from the runs and the borrow of the borrow automaton and what is
+    # left of x once y ends, or None when y exceeds x.  A borrow past x is
+    # the digits so far less 2^len: the innermost o digits pass it on, the
+    # innermost i digit takes it; with a borrow of 2, or no i digit, y
+    # exceeds x.
     while borrow and rest is not LEAF:
         rest = _PRED(rest)
         borrow -= 1
-    # the digits so far minus 2^len: the innermost o digits pass the borrow
-    # on, the innermost i digit takes it (x >= y leaves at most one borrow,
-    # and an i digit to take it)
-    if borrow:
-        _drop_top_i(runs)
+    if borrow and (borrow == 2 or not _drop_top_i(runs)):
+        return None
     return _node(runs, rest)
 
 

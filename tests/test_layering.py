@@ -140,14 +140,37 @@ def test_generic_bitwise_has_no_run_merge():
     assert not _has_loop(_natrep_methods()["bitwise"])
 
 
+def _called_names(fn) -> set[str]:
+    return {call.func.id for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+
+
+def _tree_functions() -> dict:
+    # tree.py's module functions and TreeNatRep's methods, by name
+    body = ast.parse((PACKAGE / "tree.py").read_text()).body
+    rep = next(node for node in body if isinstance(node, ast.ClassDef) and node.name == "TreeNatRep")
+    return {fn.name: fn for fn in (*body, *rep.body) if isinstance(fn, ast.FunctionDef)}
+
+
 def test_carry_walk_merges_its_runs_itself():
-    # the carry walk reads one table and holds its last run open: no _put
-    # per digit and no table counter per stretch
-    carry_runs = next(fn for fn in ast.parse((PACKAGE / "tree.py").read_text()).body
-                      if isinstance(fn, ast.FunctionDef) and fn.name == "_carry_runs")
-    called = {call.func.id for call in ast.walk(carry_runs)
-              if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
-    assert called and not called & {"_put", "_counter"}
+    # the carry walks, over a stretch list and fused into the run walk,
+    # read one table and hold their last run open: no _put per digit and
+    # no table counter per stretch
+    functions = _tree_functions()
+    for name in ("_carry_runs", "_walk"):
+        called = _called_names(functions[name])
+        assert called and not called & {"_put", "_counter"}, name
+
+
+def test_add_and_subtraction_walk_their_operands_once():
+    # add, the subtraction step and bitwise run their automaton inside the
+    # one run walk: no stretch list, no second pass over it, no order first
+    functions = _tree_functions()
+    for name in ("add", "_sub_if_fits", "bitwise"):
+        fn = functions[name]
+        assert "_walk" in _called_names(fn), name
+        named = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        assert not named & {"_stretches", "_carry_runs", "_order", "_PAIRS"}, name
 
 
 def test_bitwise_ops_never_build_the_set_view():

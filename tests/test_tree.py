@@ -20,6 +20,7 @@ from giantnat.tree import (
     _ADD,
     _CARRY,
     _MEMO_SIZE,
+    _PAIRS,
     _PRED,
     _SUCC,
     MAX_DEPTH,
@@ -28,8 +29,9 @@ from giantnat.tree import (
     _counter,
     _gap,
     _node,
+    _order,
     _put,
-    _stretches,
+    _walk,
     dag_to_dot,
     fold_to_dag,
     memo_stats,
@@ -635,9 +637,9 @@ def _plain(x):
 
 
 def _walk_gap(a, b):
-    # order and distance of two counters as _stretches finds them, from the
+    # order and distance of two counters as the run walk finds them, from the
     # one-run values a + 1 and b + 1
-    _, rest_a, rest_b = _stretches(VNode(a, ()), VNode(b, ()))
+    _, rest_a, rest_b, _, _ = _walk(VNode(a, ()), VNode(b, ()), _PAIRS)
     if rest_a is LEAF and rest_b is LEAF:
         return EQ, None
     return (LT, rest_b.head) if rest_a is LEAF else (GT, rest_a.head)
@@ -931,17 +933,17 @@ def test_carry_table_is_the_automaton():
 
 
 def test_stretch_counts_follow_runs_not_bits(monkeypatch):
-    # the walk emits stretches in proportion to the operands' runs: F(k) has
+    # the walk takes stretches in proportion to the operands' runs: F(k) has
     # three runs and M(2^k) one whatever k, and an add of random operands
-    # never emits more stretches than the two operands have runs
+    # never takes more stretches than the two operands have runs
     counts = []
 
-    def counting(u, v, walk=tree_module._stretches):
-        out = walk(u, v)
-        counts.append(len(out[0]))
+    def counting(u, v, table, walk=tree_module._walk):
+        out = walk(u, v, table)
+        counts.append(out[-1])
         return out
 
-    monkeypatch.setattr(tree_module, "_stretches", counting)
+    monkeypatch.setattr(tree_module, "_walk", counting)
     per_k = set()
     for k in range(10, 21):
         f, m = fermat(TREE, t(k)), mersenne(TREE, t(1 << k))
@@ -956,6 +958,70 @@ def test_stretch_counts_follow_runs_not_bits(monkeypatch):
         counts.clear()
         TREE.add(x, y)
         assert sum(counts) <= len(x.tail) + 1 + len(y.tail) + 1
+
+
+def _same_length(rng, digits):
+    # a random value of exactly that many digits: 2^d - 1 .. 2^(d+1) - 2
+    return (1 << digits) - 1 + rng.getrandbits(digits)
+
+
+def test_sub_if_fits_agrees_with_generic_step():
+    # the one borrow walk against the generic digit pass: on every pair up
+    # to 511, where y is often longer than x and the final borrow past two
+    # operands of equal length is 0, 1 or 2, and on random pairs of one
+    # length, where the borrow past the walk decides alone
+    seen = set()  # (x ends, y ends, borrow) past the walk, and y exceeds x
+    rng = random.Random(1900)
+    small = [t(a) for a in range(512)]
+    pairs = [(x, y) for x in small for y in small]
+    pairs += [(t(_same_length(rng, d)), t(_same_length(rng, d))) for d in range(1, 400, 3) for _ in range(4)]
+    for x, y in pairs:
+        got = TREE._sub_if_fits(x, y)
+        assert got == NatRep._sub_if_fits(TREE, x, y)
+        if x is not LEAF and y is not LEAF and len(x.tail) < 3:
+            _, rest_x, rest_y, borrow, _ = _walk(x, y, _CARRY[-1])
+            seen.add((rest_x is LEAF, rest_y is LEAF, borrow, got is None))
+    assert (True, True, 2, True) in seen  # a borrow of 2 past both: y exceeds x
+    assert (True, True, 1, False) in seen and (True, True, 1, True) in seen
+    assert (True, False, 0, True) in seen  # y is longer than x
+
+
+def test_innermost_cmp_agrees_with_generic():
+    # operands of one digit count go to the innermost runs: random pairs,
+    # and pairs that differ only in the innermost or outermost digit
+    rng = random.Random(1901)
+    pairs = [(_same_length(rng, d), _same_length(rng, d)) for d in range(1, 300, 2) for _ in range(3)]
+    for d in range(2, 200, 7):
+        base, r = (1 << d) - 1, rng.getrandbits(d)  # bit j of r set: digit j of base + r is i
+        pairs += [(base + r, base + r), (base + r, base + (r ^ 1)), (base + r, base + (r ^ 1 << d - 1))]
+    for a, b in pairs:
+        for u, v in ((t(a), t(b)), (t(b), t(a))):
+            assert TREE.cmp(u, v) is NatRep.cmp(TREE, u, v)
+            assert TREE.cmp(u, v) is _order(*_walk(u, v, _PAIRS)[:3])
+
+
+def test_fused_walk_and_innermost_cmp_on_mixed_counters():
+    # the operand mix of test_run_walk_on_mixed_counters (table, _plain,
+    # word-edge and tower counters) through the one walk of add and
+    # _sub_if_fits and through both paths of cmp, by identities; operands
+    # whose counters all carry values, reordered, keep their digit count
+    rng = random.Random(1902)
+    small = [_counter(v) for v in (0, 0, 1, 1, 2, 3, *rng.sample(range(4, 301), 10))]
+    small += [_plain(c) for c in small[2:]]
+    edge = [t(v) if v >= sys.maxsize else _counter(v) for v in range(sys.maxsize - 3, sys.maxsize + 4)]
+    operands = _mixed_operands(rng, 12, [small]) + _mixed_operands(rng, 16, [small, edge + [_tower(k) for k in range(1, 7)]])
+    for x in operands[:12]:
+        counters = [_canon(c) for c in (x.head, *x.tail)]
+        rng.shuffle(counters)
+        operands += [type(x)(counters[0], tuple(counters[1:])), TREE.dual(x)]
+    flip = {LT: GT, EQ: EQ, GT: LT}
+    for x in operands:
+        for y in operands:
+            assert TREE.sub(TREE.add(x, y), y) == x
+            order = TREE.cmp(x, y)
+            assert TREE.cmp(y, x) is flip[order]
+            assert order is _order(*_walk(x, y, _PAIRS)[:3])
+            assert (TREE._sub_if_fits(x, y) is None) == (order is LT)
 
 
 # ----------------------------------------------------------------------
@@ -995,22 +1061,22 @@ def test_split_identities_on_giants():
 
 
 def test_long_division_walks_once_per_quotient_bit(monkeypatch):
-    # one _stretches walk of the operands per quotient bit, plus the first
-    # cmp of x and y; the walks of counters (bitsize, _gap, leftshift) have
-    # few runs and are not counted.  A cmp and then a sub where m fits
-    # would walk about 1.5 (k + 1) times.
+    # one _walk of the operands per quotient bit, plus at most one more; the
+    # walks of counters (bitsize, _gap, leftshift) have few runs and are not
+    # counted.  A cmp and then a sub where m fits would walk about
+    # 1.5 (k + 1) times.
     rng = random.Random(600)
     a, b = rng.getrandbits(600) | 1 << 599, rng.getrandbits(300) | 1 << 299
     x, y = t(a), t(b)
     k = a.bit_length() - b.bit_length()
     walks = []
 
-    def counting(u, v, walk=tree_module._stretches):
+    def counting(u, v, table, walk=tree_module._walk):
         if len(u.tail) >= 16 and len(v.tail) >= 16:
             walks.append(1)
-        return walk(u, v)
+        return walk(u, v, table)
 
-    monkeypatch.setattr(tree_module, "_stretches", counting)
+    monkeypatch.setattr(tree_module, "_walk", counting)
     q, r = TREE.div_and_rem(x, y)
     assert (TREE.to_int(q), TREE.to_int(r)) == divmod(a, b)
     assert k + 1 <= len(walks) <= k + 2
