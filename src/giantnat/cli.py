@@ -118,9 +118,15 @@ _DECODERS = {"list": codecs.to_list, "mset": codecs.to_mset, "set": codecs.to_se
 
 
 def _parse_elements(text: str) -> list[int]:
-    if text == "":
-        return []
-    return [parse_decimal(part) for part in text.split(",")]
+    # comma-separated decimals; a parse error tells its position in text
+    elements, start = [], 0
+    for part in text.split(",") if text else ():
+        try:
+            elements.append(parse_decimal(part))
+        except ParseError as err:
+            raise ParseError(err.reason, start + err.position) from None
+        start += len(part) + 1
+    return elements
 
 
 def _cmd_encode(args) -> int:
@@ -236,12 +242,18 @@ def _bench_bitsize45_p(rep: NatRep) -> str:
     return f"bitsize={TREE.to_int(TREE.bitsize(numtheory.perfect45()))}"
 
 
+def _bench_div45(rep: NatRep) -> str:
+    q, r = TREE.div_and_rem(numtheory.perfect45(), numtheory.mersenne45())
+    return f"{_digest_bitsize(TREE, q)},zero-rem={TREE.is_e(r)}"
+
+
 _BENCHES: list[tuple[str, Callable[[NatRep], str]]] = [
     ("ack-3-7", _bench_ack),
     ("exp2-exp2-14", _bench_exp2),
     ("sparse-set", _bench_sparse),
     ("bitsize45:mersenne45", _bench_bitsize45_m),
     ("bitsize45:perfect45", _bench_bitsize45_p),
+    ("div45:perfect45-by-mersenne45", _bench_div45),
     ("primes-100", _bench_primes),
     ("mersenne-tests", _bench_mersenne),
     ("syracuse:lengths-2000", _bench_syr_lengths),
@@ -250,7 +262,8 @@ _BENCHES: list[tuple[str, Callable[[NatRep], str]]] = [
 ]
 
 # lines only trees can run: the others would expand compressed giants
-_TREE_ONLY = {"bitsize45:mersenne45", "bitsize45:perfect45", "syracuse:compress-twice-20"}
+_TREE_ONLY = {"bitsize45:mersenne45", "bitsize45:perfect45", "div45:perfect45-by-mersenne45",
+              "syracuse:compress-twice-20"}
 
 
 def _suite_of(name: str) -> str:

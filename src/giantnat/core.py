@@ -11,9 +11,10 @@ and the digit-level "special computations" (dual, bitsize, the cons/decons
 pairing) -- is derived here once from the primitives and shared by every
 representation.  Addition and subtraction are one pass of a bijective
 base-2 carry automaton over digit pairs, multiplication a fold with one
-step per run.  Division is binary long division, one pass over the
-quotient's bits, each bit one borrow walk that subtracts where the divisor
-fits and reports where it does not; a power-of-two divisor goes to
+step per run.  Division is binary long division a quotient run at a time:
+each step is one borrow walk that subtracts where the divisor fits and
+otherwise returns what is left of it, whose length is a run of 0 bits, and
+a long run of 1 bits closes in one jump; a power-of-two divisor goes to
 ``split``, which reads the quotient off the digits left once the low ones
 are dropped.  Conversions all go through one format, a list of runs (see
 ``_strip_runs``).  A representation may override a derived operation with
@@ -40,9 +41,10 @@ class DomainError(ValueError):
 
 
 class ParseError(ValueError):
-    """Raised on malformed textual input; carries the offending position."""
+    """Raised on malformed textual input; carries the reason and the offending position."""
 
     def __init__(self, message: str, position: int | None = None):
+        self.reason = message
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
@@ -60,6 +62,13 @@ class Ordering(enum.Enum):
 LT = Ordering.LT
 EQ = Ordering.EQ
 GT = Ordering.GT
+
+
+# Long division closes a run of 1 bits in one jump once it is this long.
+# The jump costs about three steps and cannot tell a run that is about to
+# end, so it waits past the short runs of ordinary quotients: from 5 on,
+# the trial divisions of the first 40 primes make no jump.
+_ONE_RUN = 5
 
 
 class NatRep(ABC):
@@ -206,22 +215,23 @@ class NatRep(ABC):
 
     def sub(self, x: N, y: N) -> N:
         """Difference x - y by :meth:`_sub_if_fits`; domain error when y exceeds x."""
-        d = self._sub_if_fits(x, y)
+        d = self._sub_if_fits(x, y)[0]
         if d is None:
             raise DomainError("subtraction underflow")
         return d
 
-    def _sub_if_fits(self, x: N, y: N) -> N | None:
-        """x - y, or None when y exceeds x: one borrow pass.  Once y ends,
-        the borrow takes at most two pred on x's rest; once x ends too, the
-        digits so far less 2^len lose their innermost o digits and one i
-        digit, and with no i digit left y exceeds x."""
+    def _sub_if_fits(self, x: N, y: N) -> tuple[N | None, N]:
+        """(x - y, 0), or (None, what is left of y once x's digits ran out)
+        when y exceeds x: one borrow pass.  Once y ends, the borrow takes at
+        most two pred on x's rest; once x ends too, the digits so far less
+        2^len lose their innermost o digits and one i digit, and with no i
+        digit left y exceeds x, with nothing of it left."""
         is_e, is_o, o_inv, i_inv = self.is_e, self.is_o, self.o_inv, self.i_inv
         digits = []
         borrow = 0
         while not is_e(y):
             if is_e(x):
-                return None
+                return None, y
             ao = is_o(x)
             bo = is_o(y)
             x = o_inv(x) if ao else i_inv(x)
@@ -237,9 +247,9 @@ class NatRep(ABC):
             while digits and digits[-1]:
                 digits.pop()
             if borrow == 2 or not digits:
-                return None
+                return None, y
             digits.pop()
-        return self._put_digits(digits, x)
+        return self._put_digits(digits, x), y
 
     def _put_digits(self, digits: list[int], x: N) -> N:
         # the digits (1 for o), outermost first, applied onto x
@@ -346,33 +356,89 @@ class NatRep(ABC):
         """Quotient and remainder; domain error when y is zero.
 
         A power-of-two divisor 2^k is :meth:`split` at k.  Any other is
-        binary long division, one pass over the quotient's bits: k is the
-        difference of the binary bit lengths (bitsize of x - 1 less that of
-        y - 1), so the quotient has at most k + 1 bits; m = 2^k y is halved
-        once per bit, and one :meth:`_sub_if_fits` per bit both tests
-        whether m fits and subtracts it.
+        binary long division, a quotient run at a time.  One
+        :meth:`_sub_if_fits` of x from y tells x <= y, or leaves what is
+        left of x past the digits of y: its digit count, less one where x is
+        all o digits and plus one where y is, is the difference k of the
+        binary bit lengths, so the quotient has at most k + 1 bits.
+        m = 2^k y is built from y - 1, and the quotient is kept
+        as q - 1, on which each bit is one digit.  One :meth:`_sub_if_fits`
+        of m from the remainder r is a trial step: it subtracts where m
+        fits, or it tells what is left of m once r's digits ran out.  With d
+        digits left, the next d quotient bits are 0, as m, even, has one
+        more bit than digits and r at most one more: from d = 3 on, they
+        are emitted at once.  A run of 1 bits that reaches ``_ONE_RUN`` is
+        closed in one jump: while the bits are 1, u = m - r stays the same,
+        and each next m/2^t fits while it has more bits than u, which the
+        bit lengths of u and y count; the jump takes those, and the trial
+        steps go on from there.
         """
-        if self.is_e(y):
+        is_e = self.is_e
+        if is_e(y):
             raise DomainError("division by zero")
-        sub_if_fits, o, db, hf, pred, is_e = (
-            self._sub_if_fits, self.o, self.db, self.hf, self.pred, self.is_e)
-        if self.cmp(x, y) is LT:
-            return self.e, x
+        if is_e(x):
+            return x, x
+        sub_if_fits, succ, pred, bitsize, run_times = (
+            self._sub_if_fits, self.succ, self.pred, self.bitsize, self.run_times)
         y1 = pred(y)
         if is_e(self.run_trim(True, y1)):  # y - 1 is all o digits
             return self.split(self.run_count(True, y1), x)
-        k = self.sub(self.bitsize(pred(x)), self.bitsize(y1))
-        m = self.leftshift(k, y)
-        q, r = self.e, x
-        while True:
-            d = sub_if_fits(r, m)
-            if d is None:
-                q = db(q)
-            else:
-                q, r = o(q), d
+        d, rest = sub_if_fits(y, x)  # rest: x past y's digits
+        if d is not None:  # x <= y
+            return (self._one, d) if is_e(d) else (self.e, x)
+        # a value has one digit fewer than bits, but 2^n - 1, all o digits, as many
+        k = bitsize(rest)
+        if is_e(self.run_trim(True, x)):
+            k = pred(k)
+        if is_e(self.run_trim(True, y)):
+            k = succ(k)
+        # m = 2^k y is i(o^(k-1)(y - 1)): halving it takes three digit steps
+        o, i, is_o, o_inv, i_inv = self.o, self.i, self.is_o, self.o_inv, self.i_inv
+        m = succ(run_times(True, k, y1))
+        r = sub_if_fits(x, m)[0]
+        if r is None:  # the quotient's top bit is the next one, a 1
             if is_e(k):
-                return q, r
-            m, k = hf(m), pred(k)
+                return self.e, x
+            k = pred(k)
+            m = y if is_e(k) else i(o_inv(i_inv(m)))
+            r = sub_if_fits(x, m)[0]
+        # q - 1, on which a 1 bit is an i digit and a 0 bit an o digit
+        q1, ones = self.e, 1
+
+        def inner(v):  # v without its outermost digit, zero without one
+            return v if is_e(v) else o_inv(v) if is_o(v) else i_inv(v)
+
+        while not is_e(k):
+            k = pred(k)
+            m = y if is_e(k) else i(o_inv(i_inv(m)))
+            d, rest = sub_if_fits(r, m)
+            if d is not None:  # a 1 bit
+                q1, r, ones = i(q1), d, ones + 1
+                if ones == _ONE_RUN and not is_e(k):
+                    # the bits down to position j are 1, for j the least
+                    # with 2^j y longer than u: 0, or one more than the
+                    # bit length of u less that of y
+                    ones = 0
+                    u = sub_if_fits(m, r)[0]
+                    w = sub_if_fits(bitsize(pred(u)), bitsize(y1))[0]
+                    j = self.e if w is None else succ(w)
+                    t = sub_if_fits(k, j)[0]
+                    if t is not None and not is_e(t):
+                        m = succ(run_times(True, j, y1))
+                        q1, r, k = run_times(False, t, q1), sub_if_fits(m, u)[0], j
+            else:  # a 0 bit, and as many as m has digits left
+                ones = 0
+                rest = inner(inner(rest))
+                if is_e(rest):  # at most two digits were left
+                    q1 = o(q1)
+                else:  # the bits down to position j are 0
+                    g1 = succ(bitsize(rest))  # one less than the digits left
+                    j = sub_if_fits(k, g1)[0]
+                    if j is None:
+                        j, g1 = self.e, k
+                    q1, k = run_times(True, succ(g1), q1), j
+                    m = succ(run_times(True, j, y1))
+        return succ(q1), r
 
     def split(self, k: N, x: N) -> tuple[N, N]:
         """(x div 2^k, x mod 2^k).
@@ -389,16 +455,16 @@ class NatRep(ABC):
     def _drop_digits(self, k: N, x: N) -> tuple[N, bool]:
         # x without its k outermost digits, and whether every digit dropped
         # was o; (0, True) when x has fewer than k digits
-        is_e, is_o, o_inv, i_inv, pred = self.is_e, self.is_o, self.o_inv, self.i_inv, self.pred
+        is_e, is_o, o_inv, i_inv = self.is_e, self.is_o, self.o_inv, self.i_inv
         all_o = True
-        while not is_e(k):
-            if is_e(x):
-                return self.e, True
-            if is_o(x):
-                x = o_inv(x)
-            else:
-                x, all_o = i_inv(x), False
-            k = pred(k)
+        for n in self._place_values(k):
+            for _ in range(n):
+                if is_e(x):
+                    return self.e, True
+                if is_o(x):
+                    x = o_inv(x)
+                else:
+                    x, all_o = i_inv(x), False
         return x, all_o
 
     def divide(self, x: N, y: N) -> N:
@@ -506,10 +572,25 @@ class NatRep(ABC):
     def run_times(self, o_digit: bool, k: N, y: N) -> N:
         """The given digit applied k times to y."""
         d = self.o if o_digit else self.i
-        while not self.is_e(k):
-            y = d(y)
-            k = self.pred(k)
+        for n in self._place_values(k):
+            for _ in range(n):
+                y = d(y)
         return y
+
+    def _place_values(self, k: N) -> Iterator[int]:
+        # the ints that sum to k, one per digit, outermost first: digit j is
+        # worth 2^j as o and 2^(j+1) as i.  Counting k down by its digits
+        # takes no pred.
+        is_e, is_o, o_inv, i_inv = self.is_e, self.is_o, self.o_inv, self.i_inv
+        n = 1
+        while not is_e(k):
+            if is_o(k):
+                k = o_inv(k)
+                yield n
+            else:
+                k = i_inv(k)
+                yield 2 * n
+            n *= 2
 
     # ------------------------------------------------------------------
     # conversions

@@ -26,24 +26,25 @@ add and the subtraction step ``_sub_if_fits`` read both operands once, a
 common stretch of runs at a time, and run each stretch through a bijective
 base-2 carry (or borrow) automaton, which settles within two digits of a
 stretch, as the walk finds it; the final borrow and what is left of each
-operand tell whether y fits.  cmp sums the digit counts its operands'
-counters carry and, if they are equal, lets the innermost differing pair of
-runs decide.  The generic sub, long division and run-fold mul are built on
-these three and the run helpers, so they too go a run at a time.  A
-conversion reads or writes one counter per run.  split drops its k digits
-as the common stretches of x and the all-o value 2^k - 1, a whole run at a
-time, so dividing by a power of two follows the run count and the depth,
-however long the runs.  bitwise merges, in the same walk, the common
-stretches of x - 1 and y - 1, whose digits are the bits of x and y below
-their top 1 bits, and keeps or drops the rest of the longer operand whole, so
-sparse sets with elements past ``sys.maxsize``, whose runs no list
-holds, combine at node level.  Counters that fit a word come from one
-table, one object per value, and carry their value: succ, pred and add
-open with an int step on them, and the run walks hold them as ints from
-order to merge, so on operands of many short runs a stretch costs a few
-int steps, not a counter walk.  Small computed or parsed counters join
-the table where they enter a node; only towers and counters past a word
-take the recursive steps.
+operand tell whether y fits, and where it does not, what is left of y goes
+with the verdict: long division reads a run of 0 bits off it.  cmp sums the
+digit counts its operands' counters carry and, if they are equal, lets the
+innermost differing pair of runs decide.  The generic sub, long division
+and run-fold mul are built on these three and the run helpers, so they too
+go a run at a time.  A conversion reads or writes one counter per run.
+split drops its k digits as the common stretches of x and the all-o value
+2^k - 1, a whole run at a time, so dividing by a power of two follows the
+run count and the depth, however long the runs.  bitwise merges, in the
+same walk, the common stretches of x - 1 and y - 1, whose digits are the
+bits of x and y below their top 1 bits, and keeps or drops the rest of the
+longer operand whole, so sparse sets with elements past ``sys.maxsize``,
+whose runs no list holds, combine at node level.  Counters that fit a word
+come from one table, one object per value, and carry their value: succ,
+pred and add open with an int step on them, and the run walks hold them as
+ints from order to merge, so on operands of many short runs a stretch costs
+a few int steps, not a counter walk.  Small computed or parsed counters
+join the table where they enter a node; only towers and counters past a
+word take the recursive steps.
 """
 
 from __future__ import annotations
@@ -310,15 +311,23 @@ class TreeNatRep(NatRep):
             rest = _SUCC(rest)
         return _node(runs, rest)
 
-    def _sub_if_fits(self, x: Tree, y: Tree) -> Tree | None:
+    def _sub_if_fits(self, x: Tree, y: Tree) -> tuple[Tree | None, Tree]:
         # one walk gives the difference or, from the final borrow and what
-        # is left of each operand, that y exceeds x
+        # is left of each operand, that y exceeds x and what is left of y
+        u, v = x._value, y._value
+        if u is not None and v is not None:  # two table counters step as ints
+            if u >= v:
+                return _counter(u - v), LEAF
+            # y without x's digits: y + 1 without as many low bits (see int_runs)
+            return None, _counter(((v + 1) >> (u + 1).bit_length() - 1) - 1)
         if y is LEAF:
-            return x
+            return x, LEAF
         if x is LEAF:
-            return None
+            return None, y
         runs, rest, rest_y, borrow, _ = _walk(x, y, _CARRY[-1])
-        return None if rest_y is not LEAF else _borrowed(runs, borrow, rest)
+        if rest_y is not LEAF:
+            return None, rest_y
+        return _borrowed(runs, borrow, rest), LEAF
 
     def bitwise(self, table: tuple[int, int, int, int], x: Tree, y: Tree) -> Tree:
         # the digits of x - 1 and y - 1 are the bits of x and y below their

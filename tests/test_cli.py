@@ -211,6 +211,16 @@ def test_encode_rejects_unsorted_set(capsys):
     assert code == 1 and "ascending" in err
 
 
+def test_encode_reports_parse_positions_in_the_whole_argument(capsys):
+    for elements, want in (("1,,2", "empty decimal literal (at position 2)"),
+                           ("12,3x", "invalid decimal digit 'x' (at position 4)"),
+                           ("7,", "empty decimal literal (at position 2)"),
+                           ("x", "invalid decimal digit 'x' (at position 0)")):
+        code, out, err = run(capsys, "encode", "list", elements, "--rep", "dec")
+        assert code == 1 and out == "" and err.strip().endswith(want)
+        assert len(err.strip().splitlines()) == 1
+
+
 # ----------------------------------------------------------------------
 # bits / dot
 # ----------------------------------------------------------------------
@@ -364,6 +374,14 @@ def test_bench_unable_combinations_print_question_marks():
     lines = list(bench_lines("bitsize45", "t"))
     assert lines[0].split()[3] == "bitsize=43112609"
     assert lines[1].split()[3] == "bitsize=86225216"
+
+
+def test_bench_div45_divides_perfect45_by_mersenne45():
+    assert list(bench_lines("div45", "b")) == ["div45:perfect45-by-mersenne45 b ? ?"]
+    (line,) = bench_lines("div45", "t")
+    name, rep, ms, digest = line.split()
+    assert name == "div45:perfect45-by-mersenne45" and rep == "t" and int(ms) >= 0
+    assert digest == "bitsize=43112608,zero-rem=True"
 
 
 def test_bench_ack_digest_on_ints():

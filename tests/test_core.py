@@ -1,6 +1,7 @@
 """Generic-contract operations checked against native int arithmetic."""
 
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import giantnat
 from giantnat import BIGNAT, BIJ, TREE, DomainError, EQ, GT, LT, NatRep, view
 from giantnat.bignat import oracle_add, oracle_bitsize, oracle_sub
+from giantnat.core import _ONE_RUN
 
 SMALL = 130
 _HREPS = (BIGNAT, BIJ, TREE)
@@ -145,21 +147,23 @@ def test_sub_underflow_raises(rep):
 
 def test_sub_if_fits_against_oracle(rep):
     # None exactly where oracle_sub underflows: 3 - 4 and 5 - 6 have equal
-    # digit counts, so only the last borrow tells
+    # digit counts, so only the last borrow tells.  Beside it, what is left
+    # of y past x's digits: y + 1 without as many low bits, less one
     def want(x, y):
         try:
-            return oracle_sub(x, y)
+            return oracle_sub(x, y), 0
         except DomainError:
-            return None
+            return None, ((y + 1) >> oracle_bitsize(x)) - 1
 
     n = 301
     vals = [rep.from_int(k) for k in range(n)]
     for x in range(n):
         for y in range(n):
-            got = rep._sub_if_fits(vals[x], vals[y])
-            assert (got if got is None else rep.to_int(got)) == want(x, y), (x, y)
-    assert rep._sub_if_fits(rep.e, rep.e) == rep.e
-    assert rep._sub_if_fits(rep.e, vals[1]) is None
+            got, rest = rep._sub_if_fits(vals[x], vals[y])
+            got = got if got is None else rep.to_int(got)
+            assert (got, rep.to_int(rest)) == want(x, y), (x, y)
+    assert rep._sub_if_fits(rep.e, rep.e) == (rep.e, rep.e)
+    assert rep._sub_if_fits(rep.e, vals[1]) == (None, vals[1])
 
 
 def _carry_operands(rng):
@@ -288,29 +292,87 @@ def test_div_and_rem(rep):
     assert rep.to_int(rep.remainder(rep.from_int(7), rep.from_int(3))) == 1
 
 
-def test_division_takes_one_step_per_quotient_bit(rep, monkeypatch):
-    # k + 1 steps for a quotient of at most k + 1 bits, k the difference of
-    # the binary bit lengths; the step both tests and subtracts.  Only steps
-    # by a multiple of the divisor count: the generic sub that gives k is
-    # one more step, by a bit length.
-    steps = []
+def _counting_steps(rep, monkeypatch) -> list:
+    # every _sub_if_fits call from here on, as (x, y)
+    calls = []
 
     def counting(x, y, step=rep._sub_if_fits):
-        if rep.to_int(y) % b == 0:
-            steps.append(1)
+        calls.append((x, y))
         return step(x, y)
 
     monkeypatch.setitem(vars(rep), "_sub_if_fits", counting)
+    return calls
+
+
+def _runs_of_bits(n: int) -> int:
+    return len(re.findall("0+|1+", bin(n)[2:]))
+
+
+def test_division_takes_one_step_per_quotient_bit(rep, monkeypatch):
+    # at most k + 1 trial steps for a quotient of at most k + 1 bits, k the
+    # difference of the binary bit lengths; a trial step, by some 2^j b,
+    # both tests and subtracts, and the jumps over runs only skip them.  The
+    # other steps (of bit lengths, and the jumps' own differences) are not
+    # by a multiple of b.
+    calls = _counting_steps(rep, monkeypatch)
     rng = random.Random(41)
     for _ in range(20):
         b = rng.getrandbits(rng.randrange(2, 60)) | 3  # odd, not a power of two
         a = rng.getrandbits(rng.randrange(b.bit_length(), 120))
         if a < b:
             continue
-        steps.clear()
+        calls.clear()
         q, r = rep.div_and_rem(rep.from_int(a), rep.from_int(b))
         assert (rep.to_int(q), rep.to_int(r)) == divmod(a, b)
-        assert len(steps) == a.bit_length() - b.bit_length() + 1
+        multiples = [rep.to_int(y) // b for _, y in calls if rep.to_int(y) % b == 0]
+        trials = [v for v in multiples if v.bit_count() == 1]
+        assert len(trials) <= a.bit_length() - b.bit_length() + 1
+
+
+# quotients of a few long runs of 1 and 0 bits
+_LONG_RUN_QUOTIENTS = (
+    ((1 << 40) - 1) << 40 | 1,
+    ((1 << 200) - 1) << 200 | 1,
+    (1 << 300) - 1,
+    1 << 300,
+    int("1" * 90 + "0" * 120 + "1" * 150 + "0" * 60 + "1" * 3 + "0" * 2 + "1", 2),
+)
+
+
+def test_division_takes_a_few_steps_per_quotient_run(rep, monkeypatch):
+    # each run of the quotient costs a bounded number of steps, set-up
+    # included, however long it is: a run of 1 bits _ONE_RUN steps and one
+    # jump of four, then one more step where the jump fell one bit short; a
+    # run of 0 bits one step and the jump's difference, at most twice
+    calls = _counting_steps(rep, monkeypatch)
+    rng = random.Random(43)
+    for quotient in _LONG_RUN_QUOTIENTS:
+        for _ in range(3):
+            b = rng.getrandbits(rng.randrange(2, 50)) | 3
+            rem = rng.randrange(b)
+            calls.clear()
+            q, r = rep.div_and_rem(rep.from_int(quotient * b + rem), rep.from_int(b))
+            assert (rep.to_int(q), rep.to_int(r)) == (quotient, rem)
+            assert len(calls) <= 3 + (_ONE_RUN + 5) * _runs_of_bits(quotient)
+
+
+@st.composite
+def _long_run_divisions(draw):
+    # x = q y + r, q of a few runs of up to 90 bits from a 1 run down
+    q = 0
+    for j, n in enumerate(draw(st.lists(st.integers(1, 90), min_size=1, max_size=6))):
+        q = q << n | (0 if j & 1 else (1 << n) - 1)
+    y = draw(st.integers(min_value=1, max_value=1 << 70))
+    return q * y + draw(st.integers(min_value=0, max_value=y - 1)), y
+
+
+@given(_long_run_divisions())
+@settings(max_examples=60, deadline=None)
+def test_division_jumps_hypothesis(xy):
+    x, y = xy
+    for rep_ in _HREPS:
+        q, r = rep_.div_and_rem(rep_.from_int(x), rep_.from_int(y))
+        assert (rep_.to_int(q), rep_.to_int(r)) == divmod(x, y)
 
 
 def test_division_by_zero_raises(rep):

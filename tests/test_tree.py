@@ -386,8 +386,8 @@ def _check_arith_against_generic(a, b, mul=True):
     assert TREE.add(x, y) == NatRep.add(TREE, x, y)
     if mul:
         assert TREE.to_int(TREE.mul(x, y)) == a * b
-    diff = NatRep._sub_if_fits(TREE, x, y)
-    assert TREE._sub_if_fits(x, y) == diff
+    diff, rest = NatRep._sub_if_fits(TREE, x, y)
+    assert TREE._sub_if_fits(x, y) == (diff, rest)
     if a >= b:
         assert TREE.sub(x, y) == diff
     else:
@@ -449,11 +449,11 @@ def test_sub_if_fits_agrees_with_cmp_and_sub_on_giants():
     giants = _giants()
     for x in giants:
         for y in giants[:20] + [TREE.pred(x), x, TREE.succ(x), LEAF]:
-            got = TREE._sub_if_fits(x, y)
+            got, rest = TREE._sub_if_fits(x, y)
             if TREE.cmp(x, y) is LT:
                 assert got is None
             else:
-                assert got == TREE.sub(x, y)
+                assert got == TREE.sub(x, y) and rest is LEAF
                 assert TREE.add(got, y) == x
 
 
@@ -685,6 +685,21 @@ def test_counter_table_agrees_with_recursive_steps():
         TREE.to_int(VNode(top, ()))
 
 
+def test_sub_if_fits_steps_table_counters_as_ints(monkeypatch):
+    # two table counters subtract as ints: the table's counter, or None and
+    # what is left of y, without a walk, as the digit pass gives them
+    counters = [_counter(v) for v in range(256)]
+    walks = []
+    monkeypatch.setattr(tree_module, "_walk", lambda *args: walks.append(args))
+    for a, x in enumerate(counters):
+        for b, y in enumerate(counters):
+            got, rest = TREE._sub_if_fits(x, y)
+            assert (got, rest) == NatRep._sub_if_fits(TREE, _plain(x), _plain(y))
+            assert got is (counters[a - b] if a >= b else None)
+            assert rest is counters[((b + 1) >> oracle_bitsize(a)) - 1 if a < b else 0]
+    assert not walks
+
+
 def test_separate_conversions_share_counters():
     x = t(runs_int([(True, 5), (False, 40), (True, 2)]))
     y = t(runs_int([(False, 3), (True, 40)]))
@@ -892,8 +907,9 @@ def test_run_walk_on_mixed_counters():
             b = TREE.to_int(y)
             assert TREE.cmp(x, y).value == (a > b) - (a < b)
             assert TREE.to_int(TREE.add(x, y)) == a + b
-            fits = TREE._sub_if_fits(x, y)
+            fits, rest = TREE._sub_if_fits(x, y)
             assert fits is None if a < b else TREE.to_int(fits) == a - b
+            assert TREE.to_int(rest) == (((b + 1) >> oracle_bitsize(a)) - 1 if a < b else 0)
             for table in BIT_TABLES:
                 assert TREE.bitwise(table, x, y) == NatRep.bitwise(TREE, table, x, y)
     giants = _mixed_operands(rng, 24, [small, big])
@@ -910,7 +926,7 @@ def test_run_walk_on_mixed_counters():
             order = TREE.cmp(x, y)
             assert TREE.cmp(y, x) is flip[order] and TREE.cmp(px, y) is order
             for u, v, uv in ((x, y, order), (y, x, flip[order])):
-                fits = TREE._sub_if_fits(u, v)
+                fits = TREE._sub_if_fits(u, v)[0]
                 assert (fits is None) == (uv is LT)
                 assert fits is None or TREE.add(fits, v) == u
             o, n = TREE.bitwise(OR, x, y), TREE.bitwise(AND, x, y)
@@ -976,8 +992,8 @@ def test_sub_if_fits_agrees_with_generic_step():
     pairs = [(x, y) for x in small for y in small]
     pairs += [(t(_same_length(rng, d)), t(_same_length(rng, d))) for d in range(1, 400, 3) for _ in range(4)]
     for x, y in pairs:
-        got = TREE._sub_if_fits(x, y)
-        assert got == NatRep._sub_if_fits(TREE, x, y)
+        got, rest = TREE._sub_if_fits(x, y)
+        assert (got, rest) == NatRep._sub_if_fits(TREE, x, y)
         if x is not LEAF and y is not LEAF and len(x.tail) < 3:
             _, rest_x, rest_y, borrow, _ = _walk(x, y, _CARRY[-1])
             seen.add((rest_x is LEAF, rest_y is LEAF, borrow, got is None))
@@ -1021,7 +1037,7 @@ def test_fused_walk_and_innermost_cmp_on_mixed_counters():
             order = TREE.cmp(x, y)
             assert TREE.cmp(y, x) is flip[order]
             assert order is _order(*_walk(x, y, _PAIRS)[:3])
-            assert (TREE._sub_if_fits(x, y) is None) == (order is LT)
+            assert (TREE._sub_if_fits(x, y)[0] is None) == (order is LT)
 
 
 # ----------------------------------------------------------------------
@@ -1061,10 +1077,10 @@ def test_split_identities_on_giants():
 
 
 def test_long_division_walks_once_per_quotient_bit(monkeypatch):
-    # one _walk of the operands per quotient bit, plus at most one more; the
-    # walks of counters (bitsize, _gap, leftshift) have few runs and are not
-    # counted.  A cmp and then a sub where m fits would walk about
-    # 1.5 (k + 1) times.
+    # at most one _walk of the operands per quotient bit, plus one more, and
+    # fewer where a run of 0 bits is skipped; the walks of counters
+    # (bitsize, _gap, leftshift) have few runs and are not counted.  A cmp
+    # and then a sub where m fits would walk about 1.5 (k + 1) times.
     rng = random.Random(600)
     a, b = rng.getrandbits(600) | 1 << 599, rng.getrandbits(300) | 1 << 299
     x, y = t(a), t(b)
@@ -1079,7 +1095,48 @@ def test_long_division_walks_once_per_quotient_bit(monkeypatch):
     monkeypatch.setattr(tree_module, "_walk", counting)
     q, r = TREE.div_and_rem(x, y)
     assert (TREE.to_int(q), TREE.to_int(r)) == divmod(a, b)
-    assert k + 1 <= len(walks) <= k + 2
+    assert len(walks) <= k + 2
+
+
+def _trial_steps(monkeypatch, y):
+    # the division steps by some 2^j y, y odd, as (x, 2^j y): 2^j y - 1 is
+    # j o digits on y - 1, whose outermost digit is i.  The others are on
+    # bit lengths, or by x - 1 in the set-up.
+    calls, y1 = [], TREE.pred(y)
+
+    def counting(u, v, step=TREE._sub_if_fits):
+        if v is not LEAF and TREE.run_trim(True, TREE.pred(v)) == y1:
+            calls.append((u, v))
+        return step(u, v)
+
+    monkeypatch.setitem(vars(TREE), "_sub_if_fits", counting)
+    return calls
+
+
+def test_perfect45_divided_by_mersenne45(monkeypatch):
+    # 2^(p-1) (2^p - 1) by 2^p - 1: one step takes the top bit and leaves
+    # 0, the next finds what is left of m and emits the p - 1 zero bits
+    x, y = perfect45(), mersenne45()
+    steps = _trial_steps(monkeypatch, y)
+    start = time.perf_counter()
+    q, r = TREE.div_and_rem(x, y)
+    assert time.perf_counter() - start < 0.01  # about 0.2 ms here
+    assert q == TREE.exp2(t(PRIME45 - 1)) and r is LEAF
+    assert len(steps) <= 3
+
+
+def test_fermat_divided_by_fermat_takes_steps_per_quotient_run(monkeypatch):
+    # F(20) / F(10): the quotient sum over j < 1023 of (-1)^j 2^(1024 (1022 - j))
+    # is 1023 runs of 1024 bits, and the remainder is 2
+    x, y = fermat(TREE, t(20)), fermat(TREE, t(10))
+    steps = _trial_steps(monkeypatch, y)
+    start = time.perf_counter()
+    q, r = TREE.div_and_rem(x, y)
+    assert time.perf_counter() - start < 5.0  # about 0.1 s here
+    monkeypatch.undo()
+    assert TREE.add(TREE.mul(q, y), r) == x and TREE.cmp(r, y) is LT
+    assert r == t(2)
+    assert len(steps) <= 5 * 1023  # about four a run
 
 
 def test_mersenne45_divided_by_a_power_of_two():
