@@ -238,6 +238,8 @@ def l_not(rep: NatRep, bitlen: int, x):
     Requires every 1-bit of x to lie below ``bitlen`` (a wider operand has
     no complement in that window).
     """
+    if bitlen < 0:
+        raise DomainError(f"negative bit length {bitlen}")
     ones = rep.from_int((1 << bitlen) - 1)
     if rep.cmp(x, ones) is GT:
         raise DomainError("operand has bits at or above the requested bit length")

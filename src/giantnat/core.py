@@ -9,12 +9,13 @@ are then exactly the bijective base-2 numerals over the digit alphabet
 Everything else -- successor/predecessor, arithmetic, comparison, division,
 and the digit-level "special computations" (dual, bitsize, the cons/decons
 pairing) -- is derived here once from the primitives and shared by every
-representation.  Addition and subtraction are one pass of a bijective
-base-2 carry automaton over digit pairs, multiplication a fold with one
-step per run.  Division is binary long division a quotient run at a time:
-each step is one borrow walk that subtracts where the divisor fits and
-otherwise returns what is left of it, whose length is a run of 0 bits, and
-a long run of 1 bits closes in one jump; a power-of-two divisor goes to
+representation.  Addition and subtraction are one pass over digit pairs
+of the bijective base-2 carry automaton, a table (``_CARRY``) that the
+tree run walk reads too; multiplication is a fold with one step per run.
+Division is binary long division a quotient run at a time: each step is
+one borrow walk that subtracts where the divisor fits and otherwise
+returns what is left of it, whose length is a run of 0 bits, and a long
+run of 1 bits closes in one jump; a power-of-two divisor goes to
 ``split``, which reads the quotient off the digits left once the low ones
 are dropped.  Conversions all go through one format, a list of runs (see
 ``_strip_runs``).  A representation may override a derived operation with
@@ -62,6 +63,17 @@ class Ordering(enum.Enum):
 LT = Ordering.LT
 EQ = Ordering.EQ
 GT = Ordering.GT
+
+
+# The bijective base-2 carry (or borrow) automaton: with o worth 1 and i
+# worth 2, a digit of x + y (sign 1) or x - y (sign -1) under carry c is
+# s = dx + sign * (dy + c); the result digit is o when s is odd, and the
+# next carry is sign * (s - digit) / 2, always 0, 1 or 2.
+# _CARRY[sign][4 c + 2 xo + yo] is (result digit is o, next carry).
+_CARRY = {sign: tuple((s & 1 == 1, sign * (s - 2 + (s & 1)) // 2)
+                      for c in range(3) for xy in range(4)
+                      for s in [2 - (xy >> 1) + sign * (2 - (xy & 1) + c)])
+          for sign in (1, -1)}
 
 
 # Long division closes a run of 1 bits in one jump once it is this long.
@@ -187,28 +199,11 @@ class NatRep(ABC):
     # arithmetic
     # ------------------------------------------------------------------
 
-    # add and sub run the bijective base-2 carry automaton one digit pair at
-    # a time, outermost first.  With o worth 1 and i worth 2, each pair gives
-    # s = dx + sign * (dy + carry): the result digit is o when s is odd, and
-    # the next carry (or borrow) is sign * (s - digit) / 2, always 0, 1 or 2:
-    # (s - 1) >> 1 for add, (2 - s) >> 1 for sub.  The digits are collected
-    # and rebuilt innermost first onto what is left.
-
     def add(self, x: N, y: N) -> N:
         """Sum, in one carry pass: once one operand ends, the carry goes into
         the other's rest with at most two succ."""
-        is_e, is_o, o_inv, i_inv = self.is_e, self.is_o, self.o_inv, self.i_inv
-        digits = []
-        carry = 0
-        while not (is_e(x) or is_e(y)):
-            ao = is_o(x)
-            bo = is_o(y)
-            x = o_inv(x) if ao else i_inv(x)
-            y = o_inv(y) if bo else i_inv(y)
-            s = 4 - ao - bo + carry
-            carry = (s - 1) >> 1
-            digits.append(s & 1)
-        res = y if is_e(x) else x
+        digits, x, y, carry = self._carry_pass(_CARRY[1], x, y)
+        res = y if self.is_e(x) else x
         if carry:
             res = self.succ(res if carry == 1 else self.succ(res))
         return self._put_digits(digits, res)
@@ -226,19 +221,10 @@ class NatRep(ABC):
         most two pred on x's rest; once x ends too, the digits so far less
         2^len lose their innermost o digits and one i digit, and with no i
         digit left y exceeds x, with nothing of it left."""
-        is_e, is_o, o_inv, i_inv = self.is_e, self.is_o, self.o_inv, self.i_inv
-        digits = []
-        borrow = 0
-        while not is_e(y):
-            if is_e(x):
-                return None, y
-            ao = is_o(x)
-            bo = is_o(y)
-            x = o_inv(x) if ao else i_inv(x)
-            y = o_inv(y) if bo else i_inv(y)
-            s = bo - ao - borrow
-            borrow = (2 - s) >> 1
-            digits.append(s & 1)
+        digits, x, y, borrow = self._carry_pass(_CARRY[-1], x, y)
+        is_e = self.is_e
+        if not is_e(y):
+            return None, y
         if borrow == 2 and not is_e(x):
             x, borrow = self.pred(x), 1
         if borrow and not is_e(x):
@@ -251,8 +237,25 @@ class NatRep(ABC):
             digits.pop()
         return self._put_digits(digits, x), y
 
-    def _put_digits(self, digits: list[int], x: N) -> N:
-        # the digits (1 for o), outermost first, applied onto x
+    def _carry_pass(self, table: tuple, x: N, y: N) -> tuple[list[bool], N, N, int]:
+        # the carry automaton table (see _CARRY) over the digit pairs of x
+        # and y, outermost first, until one of them ends: the result digits
+        # (True for o), what is left of x and of y, and the carry
+        is_e, is_o, o_inv, i_inv = self.is_e, self.is_o, self.o_inv, self.i_inv
+        digits = []
+        put = digits.append
+        carry = 0
+        while not (is_e(x) or is_e(y)):
+            ao = is_o(x)
+            bo = is_o(y)
+            x = o_inv(x) if ao else i_inv(x)
+            y = o_inv(y) if bo else i_inv(y)
+            o, carry = table[4 * carry + 2 * ao + bo]
+            put(o)
+        return digits, x, y, carry
+
+    def _put_digits(self, digits: list[bool], x: N) -> N:
+        # the digits (True for o), outermost first, applied onto x
         o, i = self.o, self.i
         for d_o in reversed(digits):
             x = o(x) if d_o else i(x)
@@ -457,14 +460,13 @@ class NatRep(ABC):
         # was o; (0, True) when x has fewer than k digits
         is_e, is_o, o_inv, i_inv = self.is_e, self.is_o, self.o_inv, self.i_inv
         all_o = True
-        for n in self._place_values(k):
-            for _ in range(n):
-                if is_e(x):
-                    return self.e, True
-                if is_o(x):
-                    x = o_inv(x)
-                else:
-                    x, all_o = i_inv(x), False
+        for _ in range(self.to_int(k)):
+            if is_e(x):
+                return self.e, True
+            if is_o(x):
+                x = o_inv(x)
+            else:
+                x, all_o = i_inv(x), False
         return x, all_o
 
     def divide(self, x: N, y: N) -> N:
@@ -572,25 +574,9 @@ class NatRep(ABC):
     def run_times(self, o_digit: bool, k: N, y: N) -> N:
         """The given digit applied k times to y."""
         d = self.o if o_digit else self.i
-        for n in self._place_values(k):
-            for _ in range(n):
-                y = d(y)
+        for _ in range(self.to_int(k)):
+            y = d(y)
         return y
-
-    def _place_values(self, k: N) -> Iterator[int]:
-        # the ints that sum to k, one per digit, outermost first: digit j is
-        # worth 2^j as o and 2^(j+1) as i.  Counting k down by its digits
-        # takes no pred.
-        is_e, is_o, o_inv, i_inv = self.is_e, self.is_o, self.o_inv, self.i_inv
-        n = 1
-        while not is_e(k):
-            if is_o(k):
-                k = o_inv(k)
-                yield n
-            else:
-                k = i_inv(k)
-                yield 2 * n
-            n *= 2
 
     # ------------------------------------------------------------------
     # conversions

@@ -55,7 +55,7 @@ from functools import lru_cache
 from itertools import count as _count
 from random import Random
 
-from .core import EQ, GT, LT, DomainError, NatRep, Ordering, ParseError, int_runs, runs_int
+from .core import _CARRY, EQ, GT, LT, DomainError, NatRep, Ordering, ParseError, int_runs, runs_int
 
 # A counter of d digits is at least 2^d - 1; its run, counter + 1 digits,
 # is sure to fit an index (sys.maxsize) only while d is at most this.
@@ -431,11 +431,12 @@ def _walk(x: Tree, y: Tree, table: tuple):
     # Two nonzero trees read in common stretches, outermost first, each the
     # shorter of the two current runs taken off both and one digit longer
     # than its counter k, and each run through the automaton table (see
-    # _CARRY) as it is found: the result's runs merge into the last one,
-    # held open.  What is left of a run is held as its counter's value where
-    # it carries one, so two of them order and subtract as ints; others
-    # take _gap.  Returns the runs, what is left of x and of y once one of
-    # them ends (at least one is zero), the carry and the stretch count.
+    # core._CARRY, which NatRep._carry_pass runs a digit at a time) as it
+    # is found: the result's runs merge into the last one, held open.  What
+    # is left of a run is held as its counter's value where it carries one,
+    # so two of them order and subtract as ints; others take _gap.  Returns
+    # the runs, what is left of x and of y once one of them ends (at least
+    # one is zero), the carry and the stretch count.
     xs, ys = (x.head, *x.tail), (y.head, *y.tail)
     nx, ny = len(xs), len(ys)
     xy = 2 * (type(x) is not VNode) + (type(y) is not VNode)  # 2 xo + yo, flipped as a run opens
@@ -569,17 +570,6 @@ def _order(stretches: list, rest_x: Tree, rest_y: Tree) -> Ordering:
         if xy == 1 or xy == 2:
             return LT if xy == 2 else GT
     return EQ
-
-
-# The bijective base-2 carry (or borrow) automaton: with o worth 1 and i
-# worth 2, a digit of x + y (sign 1) or x - y (sign -1) under carry c is
-# s = dx + sign * (dy + c); the result digit is o when s is odd, and the
-# next carry is sign * (s - digit) / 2, always 0, 1 or 2.
-# _CARRY[sign][4 c + 2 xo + yo] is (result digit is o, next carry).
-_CARRY = {sign: tuple((s & 1 == 1, sign * (s - 2 + (s & 1)) // 2)
-                      for c in range(3) for xy in range(4)
-                      for s in [2 - (xy >> 1) + sign * (2 - (xy & 1) + c)])
-          for sign in (1, -1)}
 
 
 def _carry_runs(stretches: list):

@@ -306,6 +306,12 @@ def test_l_not_rejects_wide_operands(rep):
     assert rep.to_int(l_not(rep, 0, rep.e)) == 0
 
 
+def test_l_not_refuses_a_negative_bit_length(rep):
+    for bitlen in (-1, -70):
+        with pytest.raises(DomainError, match=f"negative bit length {bitlen}"):
+            l_not(rep, bitlen, rep.e)
+
+
 def test_bitwise_equals_set_view_on_sparse_giants():
     # 2^(2^20) + 1, {2^70, 2^80} and {3, 2^80}: the set views are short, the
     # runs of bits between their elements too long for any list

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import giantnat
 from giantnat import BIGNAT, BIJ, TREE, DomainError, EQ, GT, LT, NatRep, view
 from giantnat.bignat import oracle_add, oracle_bitsize, oracle_sub
-from giantnat.core import _ONE_RUN
+from giantnat.core import _ONE_RUN, int_runs, runs_int
 
 SMALL = 130
 _HREPS = (BIGNAT, BIJ, TREE)
@@ -395,6 +395,34 @@ def test_split_agrees_with_divmod(rep):
         for k, kv in enumerate(ks):
             q, r = rep.split(kv, v)
             assert (rep.to_int(q), rep.to_int(r)) == divmod(x, 1 << k)
+
+
+@pytest.mark.parametrize("rep_", [BIJ, BIGNAT, TREE], ids=["bij", "bignat", "tree"])
+def test_generic_run_helpers_against_int_formulas(rep_):
+    # the base-class run helpers, the oracle for the tree overrides, against
+    # ints: the outermost run is int_runs' first, o^k(y) = 2^k (y + 1) - 1,
+    # i^k(y) = 2^k (y + 2) - 2, and y's digits (1 for o, 2 for i, digit j
+    # worth d 2^j) give what is left past its k outermost ones
+    rng = random.Random(21)
+    f, g = rep_.from_int, rep_.to_int
+    for _ in range(150):
+        y = rng.getrandbits(rng.randrange(0, 40))
+        v, runs = f(y), int_runs(y)
+        for o_digit in (True, False):
+            first = runs[0][1] if runs and runs[0][0] == o_digit else 0
+            assert g(NatRep.run_count(rep_, o_digit, v)) == first
+            assert g(NatRep.run_trim(rep_, o_digit, v)) == runs_int(runs[1:] if first else runs)
+        digits = [1 if o_digit else 2 for o_digit, n in runs for _ in range(n)]
+        for k in {0, 1, len(digits), len(digits) + 1, len(digits) + 7, rng.randrange(len(digits) + 3)}:
+            kv = f(k)
+            assert g(NatRep.run_times(rep_, True, kv, v)) == 2**k * (y + 1) - 1
+            assert g(NatRep.run_times(rep_, False, kv, v)) == 2**k * (y + 2) - 2
+            t, all_o = NatRep._drop_digits(rep_, kv, v)
+            if k > len(digits):
+                assert (g(t), all_o) == (0, True)
+            else:
+                assert g(t) == sum(d << j for j, d in enumerate(digits[k:]))
+                assert all_o == all(d == 1 for d in digits[:k])
 
 
 @pytest.mark.parametrize("rep_, top", [(TREE, 4000), (BIGNAT, 4000), (BIJ, 1000)],

@@ -121,10 +121,16 @@ def _loop_calls(fn) -> set[str]:
 
 def test_generic_add_sub_take_no_succ_pred_per_digit():
     # one carry pass: a carry or borrow reaches the longer operand's rest
-    # after the digit loop, never as a succ or pred per digit
+    # after the digit loop, never as a succ or pred per digit.  The digit
+    # loop is _carry_pass's alone: add and _sub_if_fits strip no digit pairs
+    # of their own
     methods = _natrep_methods()
-    for name in ("add", "sub", "_sub_if_fits"):
+    for name in ("add", "sub", "_sub_if_fits", "_carry_pass"):
         assert not _loop_calls(methods[name]) & {"succ", "pred"}, name
+    assert _loop_calls(methods["_carry_pass"]) >= {"o_inv", "i_inv"}
+    for name in ("add", "_sub_if_fits"):
+        assert "_carry_pass" in {n.attr for n in ast.walk(methods[name]) if isinstance(n, ast.Attribute)}
+        assert not _loop_calls(methods[name]) & {"o_inv", "i_inv", "is_o"}, name
 
 
 def test_long_division_takes_one_step_per_quotient_bit():

@@ -15,6 +15,7 @@ from giantnat.bignat import oracle_bitsize
 from helpers import value_if_feasible
 from giantnat.codecs import from_set
 from giantnat.numtheory import PRIME45, fermat, mersenne, mersenne45, perfect45
+from giantnat import core as core_module
 from giantnat import tree as tree_module
 from giantnat.tree import (
     _ADD,
@@ -936,13 +937,15 @@ def test_run_walk_on_mixed_counters():
 
 
 def test_carry_table_is_the_automaton():
-    # with o worth 1 and i worth 2, every entry conserves value
+    # with o worth 1 and i worth 2, every entry conserves value; the tree
+    # run walk reads core's table, the one definition
+    assert tree_module._CARRY is core_module._CARRY
     for sign in (1, -1):
-        assert len(_CARRY[sign]) == 12
+        assert len(core_module._CARRY[sign]) == 12
         for carry in range(3):
             for xo in (0, 1):
                 for yo in (0, 1):
-                    o, nxt = _CARRY[sign][4 * carry + 2 * xo + yo]
+                    o, nxt = core_module._CARRY[sign][4 * carry + 2 * xo + yo]
                     d, dx, dy = 2 - o, 2 - xo, 2 - yo
                     assert nxt in (0, 1, 2)
                     assert d + 2 * nxt == dx + dy + carry if sign == 1 else d - 2 * nxt == dx - dy - carry
