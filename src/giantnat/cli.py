@@ -68,13 +68,21 @@ def _check_cap(size, cap: int, what: str, unit: str, hint: str = "") -> None:
         raise DomainError(f"refusing {what}: more than {cap} {unit}{hint}")
 
 
+def _render_tree(dst: str, value) -> str:
+    # a tree rendered in format dst, expanded into digits only up to the cap
+    if dst != "tree":
+        _check_cap(TREE.bitsize(value), DEFAULT_DEC_BITS_CAP, f"{dst} expansion", "bits")
+        value = view(value, TREE, _FORMAT_REP[dst])
+    return _render_value(dst, value)
+
+
 def convert_text(src: str, dst: str, text: str) -> str:
     """Parse ``text`` in format ``src`` and render it in format ``dst``;
     a tree is expanded into digits only up to :data:`DEFAULT_DEC_BITS_CAP`
     bits."""
     value = _parse_value(src, text)
-    if src == "tree" and dst != "tree":
-        _check_cap(TREE.bitsize(value), DEFAULT_DEC_BITS_CAP, f"{dst} expansion", "bits")
+    if src == "tree":
+        return _render_tree(dst, value)
     if src != dst:
         value = view(value, _FORMAT_REP[src], _FORMAT_REP[dst])
     return _render_value(dst, value)
@@ -130,9 +138,10 @@ def _parse_elements(text: str) -> list[int]:
 
 
 def _cmd_encode(args) -> int:
-    rep = _FORMAT_REP[args.rep]
-    elements = [rep.from_int(k) for k in _parse_elements(args.elements)]
-    print(_render_value(args.rep, _ENCODERS[args.view](rep, elements)))
+    # encoded on trees, where a large element costs a few nodes, and expanded
+    # to dec or bij as convert expands a tree
+    elements = [TREE.from_int(k) for k in _parse_elements(args.elements)]
+    print(_render_tree(args.rep, _ENCODERS[args.view](TREE, elements)))
     return 0
 
 

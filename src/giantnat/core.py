@@ -335,13 +335,20 @@ class NatRep(ABC):
         return self.succ(self.i_inv(x))
 
     def pow(self, x: N, y: N) -> N:
-        """x raised to y, by squaring on y's digits; pow(0, 0) is 1."""
-        if self.is_e(y):
-            return self._one
-        xx = self.mul(x, x)
-        if self.is_o(y):
-            return self.mul(x, self.pow(xx, self.o_inv(y)))
-        return self.mul(xx, self.pow(xx, self.i_inv(y)))
+        """x raised to y, by squaring on y's digits, outermost first: x^(2a + 1)
+        is x (x^2)^a and x^(2a + 2) is x^2 (x^2)^a.  pow(0, 0) is 1, and 0 and
+        1 are their own positive powers."""
+        is_e, mul, acc = self.is_e, self.mul, self._one
+        if not is_e(y) and self.cmp(x, acc) is not GT:
+            return x
+        while not is_e(y):
+            xx = mul(x, x)
+            if self.is_o(y):
+                acc, y = mul(acc, x), self.o_inv(y)
+            else:
+                acc, y = mul(acc, xx), self.i_inv(y)
+            x = xx
+        return acc
 
     def exp2(self, x: N) -> N:
         """2 raised to x: :meth:`leftshift` of one."""
@@ -363,18 +370,18 @@ class NatRep(ABC):
         :meth:`_sub_if_fits` of x from y tells x <= y, or leaves what is
         left of x past the digits of y: its digit count, less one where x is
         all o digits and plus one where y is, is the difference k of the
-        binary bit lengths, so the quotient has at most k + 1 bits.
-        m = 2^k y is built from y - 1, and the quotient is kept
-        as q - 1, on which each bit is one digit.  One :meth:`_sub_if_fits`
-        of m from the remainder r is a trial step: it subtracts where m
-        fits, or it tells what is left of m once r's digits ran out.  With d
-        digits left, the next d quotient bits are 0, as m, even, has one
-        more bit than digits and r at most one more: from d = 3 on, they
-        are emitted at once.  A run of 1 bits that reaches ``_ONE_RUN`` is
-        closed in one jump: while the bits are 1, u = m - r stays the same,
-        and each next m/2^t fits while it has more bits than u, which the
-        bit lengths of u and y count; the jump takes those, and the trial
-        steps go on from there.
+        binary bit lengths, so the quotient has k + 1 bits, or k where
+        m = 2^k y exceeds x, which needs k > 0 as y < x.  m is built from
+        y - 1, and the quotient is kept as q - 1, on which each bit is one
+        digit.  One :meth:`_sub_if_fits` of m from the remainder r is a
+        trial step: it subtracts where m fits, or it tells what is left of m
+        once r's digits ran out.  With d digits left, the next d quotient
+        bits are 0, as m, even, has one more bit than digits and r at most
+        one more: from d = 3 on, they are emitted at once.  A run of 1 bits
+        that reaches ``_ONE_RUN`` is closed in one jump: while the bits are
+        1, u = m - r stays the same, and each next m/2^t fits while it has
+        more bits than u, which the bit lengths of u and y count; the jump
+        takes those, and the trial steps go on from there.
         """
         is_e = self.is_e
         if is_e(y):
@@ -400,8 +407,6 @@ class NatRep(ABC):
         m = succ(run_times(True, k, y1))
         r = sub_if_fits(x, m)[0]
         if r is None:  # the quotient's top bit is the next one, a 1
-            if is_e(k):
-                return self.e, x
             k = pred(k)
             m = y if is_e(k) else i(o_inv(i_inv(m)))
             r = sub_if_fits(x, m)[0]

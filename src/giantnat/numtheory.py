@@ -82,8 +82,11 @@ def primes(rep: NatRep) -> Iterator:
 
 
 def fastmod(rep: NatRep, k, m):
-    """k mod (m - 1) for m a power of 2, folding quotients back into remainders."""
-    m1 = rep.pred(m)
+    """k mod (m - 1) for m a power of 2, folding quotients back into remainders.
+    m below 2 is a domain error: on a modulus m - 1 of zero the fold never ends."""
+    m1 = m if rep.is_e(m) else rep.pred(m)
+    if rep.is_e(m1):
+        raise DomainError("fastmod needs m >= 2")
     while True:
         if k == m1:
             return rep.e

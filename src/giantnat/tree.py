@@ -6,7 +6,8 @@ base-2 digit string of the value from the outermost digit inward, a V node
 describes runs alternating o,i,o,... and a W node runs alternating
 i,o,i,...; run j has length counter_j + 1.  The encoding is applied
 recursively to the counters, so numbers whose digit strings consist of a
-few huge runs -- for instance 2^p - 1 -- stay tiny.
+few huge runs -- for instance 2^p - 1 -- stay tiny.  The tag is the node's
+class, and both classes share one constructor, equality and hash.
 
 Digit primitives touch only the outermost node plus one succ/pred on a
 counter.  :class:`TreeNatRep` overrides several derived operations with
@@ -54,6 +55,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count as _count
 from random import Random
+from types import FunctionType
 
 from .core import _CARRY, EQ, GT, LT, DomainError, NatRep, Ordering, ParseError, int_runs, runs_int
 
@@ -80,7 +82,7 @@ LEAF = _Leaf()
 
 
 class VNode(Tree):
-    """Odd values: outermost run is made of o digits."""
+    """Odd values: outermost run is made of o digits.  WNode copies these methods."""
 
     __slots__ = ("head", "tail", "_hash", "_value")
 
@@ -93,42 +95,30 @@ class VNode(Tree):
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if type(other) is not VNode:
+        if type(other) is not type(self):
             return NotImplemented if not isinstance(other, Tree) else False
         return self.head == other.head and self.tail == other.tail
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((False, self.head, self.tail))
+            h = hash((type(self) is WNode, self.head, self.tail))
             self._hash = h
         return h
+
+
+def _own_code(f):
+    # f on a copy of its code: CPython 3.11 specialises each attribute access
+    # of a code object for the class it last met, so code that builds VNode
+    # and WNode in turn would keep missing (about 1.5x slower per node)
+    return FunctionType(f.__code__.replace(), f.__globals__, f.__name__)
 
 
 class WNode(Tree):
     """Even positive values: outermost run is made of i digits."""
 
     __slots__ = ("head", "tail", "_hash", "_value")
-
-    def __init__(self, head: Tree, tail: tuple[Tree, ...]):
-        self.head = head
-        self.tail = tail
-        self._hash = None
-        self._value = None
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not WNode:
-            return NotImplemented if not isinstance(other, Tree) else False
-        return self.head == other.head and self.tail == other.tail
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((True, self.head, self.tail))
-            self._hash = h
-        return h
+    __init__, __eq__, __hash__ = map(_own_code, (VNode.__init__, VNode.__eq__, VNode.__hash__))
 
 
 class TreeNatRep(NatRep):

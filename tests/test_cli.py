@@ -1,6 +1,7 @@
 """Command-line interface: conversions, outputs, exit codes, benchmarks."""
 
 import contextlib
+import hashlib
 import io
 import random
 import sys
@@ -211,6 +212,15 @@ def test_encode_rejects_unsorted_set(capsys):
     assert code == 1 and "ascending" in err
 
 
+def test_encode_refuses_expanding_a_giant_set(capsys):
+    # {10^9} is 2^(10^9): a few nodes as a tree, a billion bits as digits
+    for fmt in ("dec", "bij"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "encode", "set", "1000000000", "--rep", fmt)
+        assert time.perf_counter() - start < 1.0
+        assert _refused(code, out, err) and f"refusing {fmt} expansion" in err
+
+
 def test_encode_reports_parse_positions_in_the_whole_argument(capsys):
     for elements, want in (("1,,2", "empty decimal literal (at position 2)"),
                            ("12,3x", "invalid decimal digit 'x' (at position 4)"),
@@ -400,6 +410,28 @@ def test_bench_sparse_all_reps_share_digest():
 def test_bench_command_exit(capsys):
     code, out, _ = run(capsys, "bench", "bitsize45", "--rep", "t")
     assert code == 0 and len(out.strip().splitlines()) == 2
+
+
+# sha256 of the compress-twice-20 digest, a bitsize of 3054 decimal digits
+COMPRESS_TWICE_20_SHA256 = "c3b302cb84a6a6a2ef7789fb4a1673405e9a814b125b43b2459ff49f4e6057ae"
+
+
+@pytest.mark.parametrize("letter", ["t", "n"])
+def test_bench_number_theory_digests(letter):
+    digests = {line.split()[0]: line.split()[3]
+               for suite in ("primes", "mersenne", "syracuse") for line in bench_lines(suite, letter)}
+    twice = digests.pop("syracuse:compress-twice-20")
+    assert digests == {"primes-100": "value=541", "mersenne-tests": "bitsize=31",
+                       "syracuse:lengths-2000": "maxlen=88", "syracuse:compress-100": "bitsize=11248"}
+    if letter == "t":
+        assert hashlib.sha256(twice.encode()).hexdigest() == COMPRESS_TWICE_20_SHA256
+    else:
+        assert twice == "?"
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: giantnat") and err == ""
 
 
 # ----------------------------------------------------------------------

@@ -254,6 +254,15 @@ def test_mul_on_long_runs(rep):
             assert rep.to_int(rep.mul(x, y)) == a * b
 
 
+def test_pow_by_an_exponent_of_many_digits(rep):
+    # 2^1200 has 1200 digits, one step each, more than the default
+    # recursion limit allows frames
+    y = rep.from_int(2**1200)
+    for x in (0, 1):
+        assert rep.to_int(rep.pow(rep.from_int(x), y)) == x
+    assert rep.to_int(rep.pow(rep.from_int(3), rep.from_int(1000))) == 3**1000
+
+
 def test_pow_exp2_leftshift(rep):
     for x in range(7):
         for y in range(6):

@@ -214,6 +214,13 @@ def test_fastmod(rep):
     assert rep.to_int(fastmod(rep, f(30), m)) == 30  # below 2^p - 1: unchanged
 
 
+def test_fastmod_refuses_a_modulus_below_two(rep):
+    # m = 1 is a modulus m - 1 of zero, on which the fold would never end
+    for m in (0, 1):
+        with pytest.raises(DomainError):
+            fastmod(rep, rep.from_int(5), rep.from_int(m))
+
+
 # ----------------------------------------------------------------------
 # Ackermann
 # ----------------------------------------------------------------------

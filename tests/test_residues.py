@@ -1,0 +1,107 @@
+"""Tree arithmetic on giants checked by residues.
+
+:func:`helpers.residue` reads x mod m off a tree's nodes, however long its
+runs, so results on values that no digit walk expands are checked exactly
+modulo a few moduli, and not only by identities that a fault shared by two
+operations would keep.
+"""
+
+import random
+
+from giantnat import LEAF, LT, TREE, VNode
+from giantnat.numtheory import mersenne45, perfect45
+from giantnat.tree import MAX_DEPTH, parse_tree, random_tree
+
+from helpers import exp2_residue, residue, value_if_feasible
+
+# a prime, odd and even composites, and a power of two
+MODULI = (1000003, 999999, 3 << 18, 65537 * 12, 1 << 20)
+
+
+def _residues(x):
+    return [residue(x, m) for m in MODULI]
+
+
+def _giants(seed, count, depth=6):
+    # random trees drawn until count of them are too large to expand
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        x = random_tree(rng, depth)
+        if value_if_feasible(x) is None:
+            out.append(x)
+    return out
+
+
+def _check_split(x, k, q, r):
+    # x = 2^k q + r with r < 2^k
+    for m, rx, rq, rr in zip(MODULI, _residues(x), _residues(q), _residues(r)):
+        assert rx == (rq * exp2_residue(k, m) + rr) % m
+    assert TREE.cmp(r, TREE.exp2(k)) is LT
+
+
+def test_residues_agree_with_the_expansion():
+    rng, moduli = random.Random(22), MODULI + (1, 2, 3)
+    for n in range(600):
+        x = TREE.from_int(n)
+        assert _residues(x) == [n % m for m in MODULI]
+        assert [exp2_residue(x, m) for m in MODULI] == [pow(2, n, m) for m in MODULI]
+    checked = 0
+    while checked < 800:
+        x = random_tree(rng, 4)
+        v = value_if_feasible(x)
+        if v is not None:
+            checked += 1
+            assert [residue(x, m) for m in moduli] == [v % m for m in moduli]
+            if v < 1 << 16:
+                assert [exp2_residue(x, m) for m in MODULI] == [pow(2, v, m) for m in MODULI]
+
+
+def test_residues_of_the_paper_giants():
+    p = 43112609
+    assert _residues(mersenne45()) == [(pow(2, p, m) - 1) % m for m in MODULI]
+    assert _residues(perfect45()) == [pow(2, p - 1, m) * (pow(2, p, m) - 1) % m for m in MODULI]
+
+
+def test_split_and_division_by_a_power_of_two_on_giants():
+    giants = _giants(6, 100)
+    for x, y in zip(giants, giants[1:] + giants[:1]):
+        size = TREE.bitsize(x)
+        ks = [TREE.from_int(k) for k in (0, 1, 5, 64, 1000)]
+        for k in ks + [TREE.pred(size), size, y]:
+            _check_split(x, k, *TREE.split(k, x))
+        for k in (ks[2], TREE.pred(size)):
+            _check_split(x, k, *TREE.div_and_rem(x, TREE.exp2(k)))
+
+
+def test_add_sub_mul_on_giant_pairs():
+    giants = _giants(7, 300)
+    for x, y in zip(giants, giants[1:] + giants[:1]):
+        rxs, rys = _residues(x), _residues(y)
+        s = TREE.add(x, y)
+        assert _residues(s) == [(a + b) % m for m, a, b in zip(MODULI, rxs, rys)]
+        d = TREE._sub_if_fits(x, y)[0]
+        if d is None:
+            assert TREE.cmp(x, y) is LT
+        else:
+            assert _residues(d) == [(a - b) % m for m, a, b in zip(MODULI, rxs, rys)]
+        assert TREE._sub_if_fits(s, y)[0] == x
+        assert _residues(TREE.mul(x, y)) == [a * b % m for m, a, b in zip(MODULI, rxs, rys)]
+
+
+def test_arith_on_towers():
+    # 2^2^...^2 by exp2, 200 levels, and the deepest nesting parse_tree takes
+    x = LEAF
+    for _ in range(200):
+        below, x = x, TREE.exp2(x)
+    text = "V T []"
+    for _ in range(MAX_DEPTH - 1):
+        text = f"V ({text}) []"
+    deepest, k = parse_tree(text), TREE.from_int(100)
+    for a, b in ((x, below), (deepest, x), (x, VNode(deepest, (LEAF,)))):
+        ras, rbs = _residues(a), _residues(b)
+        assert _residues(TREE.add(a, b)) == [(u + v) % m for m, u, v in zip(MODULI, ras, rbs)]
+        assert _residues(TREE.mul(a, b)) == [u * v % m for m, u, v in zip(MODULI, ras, rbs)]
+        d = TREE._sub_if_fits(a, b)[0]
+        if d is not None:
+            assert _residues(d) == [(u - v) % m for m, u, v in zip(MODULI, ras, rbs)]
+        _check_split(a, k, *TREE.split(k, a))

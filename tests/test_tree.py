@@ -458,6 +458,14 @@ def test_sub_if_fits_agrees_with_cmp_and_sub_on_giants():
                 assert TREE.add(got, y) == x
 
 
+def test_pow_of_zero_and_one_to_a_giant():
+    # a loop over 43112609 digits would never end: 0 and 1 return at once
+    m = mersenne45()
+    assert TREE.pow(LEAF, m) is LEAF
+    assert TREE.pow(t(1), m) == t(1)
+    assert TREE.pow(m, LEAF) == t(1)
+
+
 def test_mersenne45_squared():
     # (2^p - 1)^2 = 2^(p+1) (2^(p-1) - 1) + 1
     m = mersenne45()
