@@ -11,7 +11,9 @@ and the digit-level "special computations" (dual, bitsize, the cons/decons
 pairing) -- is derived here once from the primitives and shared by every
 representation.  Addition and subtraction are one pass over digit pairs
 of the bijective base-2 carry automaton, a table (``_CARRY``) that the
-tree run walk reads too; multiplication is a fold with one step per run.
+tree run walk reads too, and comparison is the borrow pass's verdict:
+whether y fits in x, and whether it leaves zero.  Multiplication is a
+fold with one step per run.
 Division is binary long division a quotient run at a time: each step is
 one borrow walk that subtracts where the divisor fits and otherwise
 returns what is left of it, whose length is a run of 0 bits, and a long
@@ -178,16 +180,11 @@ class NatRep(ABC):
         return x
 
     def succ_depth(self, x: N) -> int:
-        """Number of rule applications ``succ`` performs on ``x``.
-
-        One application for the terminal rule plus one per trailing i digit.
-        Constant on average over a uniform range of values.
-        """
-        depth = 1
-        while self.is_i(x):
-            x = self.i_inv(x)
-            depth += 1
-        return depth
+        """Number of rule applications ``succ`` performs on ``x``: one for the
+        terminal rule plus one per digit of the outermost i run, which
+        :meth:`run_count` reads.  Constant on average over a uniform range
+        of values."""
+        return 1 + self.to_int(self.run_count(False, x))
 
     def all_from(self, x: N) -> Iterator[N]:
         """Unbounded increasing stream x, x+1, x+2, ...; pull-driven."""
@@ -262,28 +259,11 @@ class NatRep(ABC):
         return x
 
     def cmp(self, x: N, y: N) -> Ordering:
-        """Three-way comparison agreeing with the numeric order.
-
-        Walks matched digits inward; the deepest o-vs-i mismatch breaks a
-        tie between equal-length digit strings, a shorter string loses.
-        """
-        is_e, is_o = self.is_e, self.is_o
-        o_inv, i_inv = self.o_inv, self.i_inv
-        tiebreak = EQ
-        while True:
-            if is_e(x):
-                base = EQ if is_e(y) else LT
-                break
-            if is_e(y):
-                base = GT
-                break
-            ao = is_o(x)
-            bo = is_o(y)
-            x = o_inv(x) if ao else i_inv(x)
-            y = o_inv(y) if bo else i_inv(y)
-            if ao != bo:
-                tiebreak = LT if ao else GT
-        return base if base is not EQ else tiebreak
+        """Three-way comparison agreeing with the numeric order: the verdict
+        of one :meth:`_sub_if_fits`, LT where y does not fit, EQ where it
+        leaves zero, GT otherwise."""
+        d = self._sub_if_fits(x, y)[0]
+        return LT if d is None else EQ if self.is_e(d) else GT
 
     def min2(self, x: N, y: N) -> N:
         return x if self.cmp(x, y) is LT else y
@@ -342,12 +322,13 @@ class NatRep(ABC):
         if not is_e(y) and self.cmp(x, acc) is not GT:
             return x
         while not is_e(y):
-            xx = mul(x, x)
             if self.is_o(y):
                 acc, y = mul(acc, x), self.o_inv(y)
+                if not is_e(y):  # x^2 only where another digit follows
+                    x = mul(x, x)
             else:
-                acc, y = mul(acc, xx), self.i_inv(y)
-            x = xx
+                x = mul(x, x)
+                acc, y = mul(acc, x), self.i_inv(y)
         return acc
 
     def exp2(self, x: N) -> N:

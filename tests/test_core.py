@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import giantnat
 from giantnat import BIGNAT, BIJ, TREE, DomainError, EQ, GT, LT, NatRep, view
-from giantnat.bignat import oracle_add, oracle_bitsize, oracle_sub
+from giantnat.bignat import oracle_add, oracle_bitsize, oracle_cmp, oracle_sub
 from giantnat.core import _ONE_RUN, int_runs, runs_int
 
 SMALL = 130
@@ -184,6 +184,7 @@ def test_generic_add_sub_on_long_operands(rep_):
     for a, x in zip(ints, vals):
         for b, y in zip(ints, vals):
             assert rep_.to_int(rep_.add(x, y)) == oracle_add(a, b)
+            assert rep_.cmp(x, y) is oracle_cmp(a, b)
             if b > a:
                 with pytest.raises(DomainError, match="subtraction underflow"):
                     rep_.sub(x, y)
@@ -261,6 +262,26 @@ def test_pow_by_an_exponent_of_many_digits(rep):
     for x in (0, 1):
         assert rep.to_int(rep.pow(rep.from_int(x), y)) == x
     assert rep.to_int(rep.pow(rep.from_int(3), rep.from_int(1000))) == 3**1000
+
+
+def test_pow_squares_only_where_another_digit_follows(rep):
+    # one product per digit of y, and one squaring between digits: x^1 is
+    # one product and x^(2^10 - 1), ten o digits, nineteen.  The counter
+    # shadows the class method, as perfbench's tracer does
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return type(rep).mul(rep, x, y)
+
+    rep.mul = counted
+    try:
+        for x, y, products in ((7, 1, 1), (3, 1023, 19), (3, 1000, 18), (5, 2, 2), (2, 6, 4)):
+            calls.clear()
+            assert rep.to_int(rep.pow(rep.from_int(x), rep.from_int(y))) == x ** y
+            assert len(calls) == products, (x, y)
+    finally:
+        del rep.mul
 
 
 def test_pow_exp2_leftshift(rep):

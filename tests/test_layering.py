@@ -133,6 +133,17 @@ def test_generic_add_sub_take_no_succ_pred_per_digit():
         assert not _loop_calls(methods[name]) & {"o_inv", "i_inv", "is_o"}, name
 
 
+def test_comparison_is_the_borrow_steps_verdict():
+    # generic cmp reads the order off one _sub_if_fits, and succ_depth the
+    # outermost i run off run_count: neither walks digits of its own
+    methods = _natrep_methods()
+    for name in ("cmp", "succ_depth"):
+        assert not _has_loop(methods[name]), name
+    called = [n.attr for n in ast.walk(methods["cmp"]) if isinstance(n, ast.Attribute)]
+    assert called.count("_sub_if_fits") == 1
+    assert "run_count" in {n.attr for n in ast.walk(methods["succ_depth"]) if isinstance(n, ast.Attribute)}
+
+
 def test_long_division_takes_one_step_per_quotient_bit():
     # the step both compares and subtracts: no cmp then sub in the loop
     called = _loop_calls(_natrep_methods()["div_and_rem"])

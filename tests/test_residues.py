@@ -9,6 +9,7 @@ operations would keep.
 import random
 
 from giantnat import LEAF, LT, TREE, VNode
+from giantnat.codecs import pair_encode
 from giantnat.numtheory import mersenne45, perfect45
 from giantnat.tree import MAX_DEPTH, parse_tree, random_tree
 
@@ -88,15 +89,21 @@ def test_add_sub_mul_on_giant_pairs():
         assert _residues(TREE.mul(x, y)) == [a * b % m for m, a, b in zip(MODULI, rxs, rys)]
 
 
-def test_arith_on_towers():
-    # 2^2^...^2 by exp2, 200 levels, and the deepest nesting parse_tree takes
+def _towers():
+    # 2^2^...^2 by exp2, 200 levels, the one below it, and the deepest
+    # nesting parse_tree takes
     x = LEAF
     for _ in range(200):
         below, x = x, TREE.exp2(x)
     text = "V T []"
     for _ in range(MAX_DEPTH - 1):
         text = f"V ({text}) []"
-    deepest, k = parse_tree(text), TREE.from_int(100)
+    return x, below, parse_tree(text)
+
+
+def test_arith_on_towers():
+    x, below, deepest = _towers()
+    k = TREE.from_int(100)
     for a, b in ((x, below), (deepest, x), (x, VNode(deepest, (LEAF,)))):
         ras, rbs = _residues(a), _residues(b)
         assert _residues(TREE.add(a, b)) == [(u + v) % m for m, u, v in zip(MODULI, ras, rbs)]
@@ -105,3 +112,44 @@ def test_arith_on_towers():
         if d is not None:
             assert _residues(d) == [(u - v) % m for m, u, v in zip(MODULI, ras, rbs)]
         _check_split(a, k, *TREE.split(k, a))
+
+
+def _operands():
+    # random depth-6 giants and the towers, none of them zero
+    return _giants(8, 60) + list(_towers())
+
+
+def test_succ_pred_on_giants():
+    for x in _operands():
+        rxs = _residues(x)
+        assert _residues(TREE.succ(x)) == [(r + 1) % m for m, r in zip(MODULI, rxs)]
+        assert _residues(TREE.pred(x)) == [(r - 1) % m for m, r in zip(MODULI, rxs)]
+
+
+def test_shifts_runs_and_pairing_on_giants():
+    # with p = 2^k: exp2 is p, leftshift p y, k o digits on y p (y + 1) - 1,
+    # k i digits p (y + 2) - 2, and the pairing p (2 y + 1)
+    xs = _operands()
+    ks = [TREE.from_int(k) for k in (0, 1, 5, 64, 1000)]
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        rys = _residues(y)
+        for k in ks + [x]:
+            ps = [exp2_residue(k, m) for m in MODULI]
+            assert _residues(TREE.exp2(k)) == ps
+            assert _residues(TREE.leftshift(k, y)) == [p * r % m for m, p, r in zip(MODULI, ps, rys)]
+            assert _residues(TREE.run_times(True, k, y)) == [
+                (p * (r + 1) - 1) % m for m, p, r in zip(MODULI, ps, rys)]
+            assert _residues(TREE.run_times(False, k, y)) == [
+                (p * (r + 2) - 2) % m for m, p, r in zip(MODULI, ps, rys)]
+            assert _residues(pair_encode(TREE, k, y)) == [
+                p * (2 * r + 1) % m for m, p, r in zip(MODULI, ps, rys)]
+
+
+def test_bitsize_and_dual_on_giants():
+    # bitsize is the sum of the run lengths, the counters plus one, and
+    # x + dual(x) = 3 (2^n - 1) for n = bitsize(x)
+    for x in _operands():
+        n = TREE.bitsize(x)
+        assert _residues(n) == [sum(residue(c, m) + 1 for c in (x.head, *x.tail)) % m for m in MODULI]
+        assert _residues(TREE.dual(x)) == [
+            (3 * (exp2_residue(n, m) - 1) - r) % m for m, r in zip(MODULI, _residues(x))]

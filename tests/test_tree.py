@@ -195,6 +195,14 @@ def test_bitsize_fast_mersenne45():
     assert TREE.to_int(TREE.bitsize(mersenne45())) == 43112609
 
 
+def test_succ_depth_reads_the_outermost_i_run():
+    # dual(2^p - 1) is p i digits, one run: succ_depth reads its counter
+    # and never walks it a digit at a time
+    start = time.perf_counter()
+    assert TREE.succ_depth(TREE.dual(mersenne45())) == PRIME45 + 1
+    assert time.perf_counter() - start < 0.1
+
+
 def test_dual_fast_agrees_with_generic():
     assert TREE.dual(LEAF) == LEAF
     assert TREE.to_int(TREE.dual(t(1))) == 2
@@ -378,16 +386,24 @@ def test_run_helpers_split_and_rebuild_giants(o_digit):
 # ----------------------------------------------------------------------
 
 
+def _verdict(diff):
+    # the order a subtraction step's difference tells; the oracle for cmp is
+    # the generic step over TREE's digit primitives, as NatRep.cmp(TREE, ...)
+    # reaches TREE's own _sub_if_fits
+    return LT if diff is None else EQ if diff is LEAF else GT
+
+
 def _check_arith_against_generic(a, b, mul=True):
-    # generic sub wraps _sub_if_fits, which TREE overrides: the digit walk
-    # oracle is the generic step.  TREE's product is the generic one, so its
-    # oracle is the int product.
+    # generic sub and cmp wrap _sub_if_fits, which TREE overrides: the digit
+    # walk oracle is the generic step.  TREE's product is the generic one, so
+    # its oracle is the int product.
     x, y = t(a), t(b)
+    diff, rest = NatRep._sub_if_fits(TREE, x, y)
     assert TREE.cmp(x, y) is NatRep.cmp(TREE, x, y)
+    assert TREE.cmp(x, y) is _verdict(diff)
     assert TREE.add(x, y) == NatRep.add(TREE, x, y)
     if mul:
         assert TREE.to_int(TREE.mul(x, y)) == a * b
-    diff, rest = NatRep._sub_if_fits(TREE, x, y)
     assert TREE._sub_if_fits(x, y) == (diff, rest)
     if a >= b:
         assert TREE.sub(x, y) == diff
@@ -1024,6 +1040,7 @@ def test_innermost_cmp_agrees_with_generic():
     for a, b in pairs:
         for u, v in ((t(a), t(b)), (t(b), t(a))):
             assert TREE.cmp(u, v) is NatRep.cmp(TREE, u, v)
+            assert TREE.cmp(u, v) is _verdict(NatRep._sub_if_fits(TREE, u, v)[0])
             assert TREE.cmp(u, v) is _order(*_walk(u, v, _PAIRS)[:3])
 
 
