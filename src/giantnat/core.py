@@ -18,12 +18,12 @@ Division is binary long division a quotient run at a time: each step is
 one borrow walk that subtracts where the divisor fits and otherwise
 returns what is left of it, whose length is a run of 0 bits, and a long
 run of 1 bits closes in one jump; a power-of-two divisor goes to
-``split``, which reads the quotient off the digits left once the low ones
-are dropped.  Conversions all go through one format, a list of runs (see
-``_strip_runs``).  A representation may override a derived operation with
-a faster equivalent as long as observable behaviour is unchanged; the
-derived definitions below remain available through the base class for
-cross-checks.
+``split``, which reads the quotient off the digits of x - 1 left once the
+low ones are dropped.  Conversions all go through one format, a list of
+runs (see ``_strip_runs``).  A representation may override a derived
+operation with a faster equivalent as long as observable behaviour is
+unchanged; the derived definitions below remain available through the
+base class for cross-checks.
 
 All values are immutable and all operations are pure, so values can be
 shared freely across threads.
@@ -347,11 +347,11 @@ class NatRep(ABC):
         """Quotient and remainder; domain error when y is zero.
 
         A power-of-two divisor 2^k is :meth:`split` at k.  Any other is
-        binary long division, a quotient run at a time.  One
-        :meth:`_sub_if_fits` of x from y tells x <= y, or leaves what is
-        left of x past the digits of y: its digit count, less one where x is
-        all o digits and plus one where y is, is the difference k of the
-        binary bit lengths, so the quotient has k + 1 bits, or k where
+        binary long division, a quotient run at a time.  A value v >= 1 has
+        one bit more than v - 1 has digits, so one :meth:`_sub_if_fits` of
+        x - 1 from y - 1 tells x <= y, or leaves what is left of x - 1 past
+        the digits of y - 1, whose digit count is the difference k of the
+        binary bit lengths: the quotient has k + 1 bits, or k where
         m = 2^k y exceeds x, which needs k > 0 as y < x.  m is built from
         y - 1, and the quotient is kept as q - 1, on which each bit is one
         digit.  One :meth:`_sub_if_fits` of m from the remainder r is a
@@ -374,15 +374,10 @@ class NatRep(ABC):
         y1 = pred(y)
         if is_e(self.run_trim(True, y1)):  # y - 1 is all o digits
             return self.split(self.run_count(True, y1), x)
-        d, rest = sub_if_fits(y, x)  # rest: x past y's digits
+        d, rest = sub_if_fits(y1, pred(x))  # rest: x - 1 past the digits of y - 1
         if d is not None:  # x <= y
             return (self._one, d) if is_e(d) else (self.e, x)
-        # a value has one digit fewer than bits, but 2^n - 1, all o digits, as many
         k = bitsize(rest)
-        if is_e(self.run_trim(True, x)):
-            k = pred(k)
-        if is_e(self.run_trim(True, y)):
-            k = succ(k)
         # m = 2^k y is i(o^(k-1)(y - 1)): halving it takes three digit steps
         o, i, is_o, o_inv, i_inv = self.o, self.i, self.is_o, self.o_inv, self.i_inv
         m = succ(run_times(True, k, y1))
@@ -432,28 +427,25 @@ class NatRep(ABC):
     def split(self, k: N, x: N) -> tuple[N, N]:
         """(x div 2^k, x mod 2^k).
 
-        With t for x without its k outermost digits and s for the binary
-        value of those digits (o as 0, i as 1), x = 2^k (t + 1) + s - 1: the
-        quotient is t when s is zero, else t + 1.  An x of fewer than k
-        digits gives (0, x).
+        With t for x - 1 without its k outermost digits and s for the binary
+        value of those digits (o as 0, i as 1), x - 1 = 2^k (t + 1) + s - 1:
+        the quotient is t + 1 and the remainder s.  Zero, or an x - 1 of
+        fewer than k digits, gives (0, x).
         """
-        t, all_o = self._drop_digits(k, x)
-        q = t if all_o else self.succ(t)
+        t = None if self.is_e(x) else self._drop_digits(k, self.pred(x))
+        if t is None:
+            return self.e, x
+        q = self.succ(t)
         return q, self.sub(x, self.leftshift(k, q))
 
-    def _drop_digits(self, k: N, x: N) -> tuple[N, bool]:
-        # x without its k outermost digits, and whether every digit dropped
-        # was o; (0, True) when x has fewer than k digits
+    def _drop_digits(self, k: N, x: N) -> N | None:
+        # x without its k outermost digits; None when x has fewer than k
         is_e, is_o, o_inv, i_inv = self.is_e, self.is_o, self.o_inv, self.i_inv
-        all_o = True
         for _ in range(self.to_int(k)):
             if is_e(x):
-                return self.e, True
-            if is_o(x):
-                x = o_inv(x)
-            else:
-                x, all_o = i_inv(x), False
-        return x, all_o
+                return None
+            x = o_inv(x) if is_o(x) else i_inv(x)
+        return x
 
     def divide(self, x: N, y: N) -> N:
         return self.div_and_rem(x, y)[0]

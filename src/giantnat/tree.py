@@ -33,9 +33,9 @@ digit counts its operands' counters carry and, if they are equal, lets the
 innermost differing pair of runs decide.  The generic sub, long division
 and run-fold mul are built on these three and the run helpers, so they too
 go a run at a time.  A conversion reads or writes one counter per run.
-split drops its k digits as the common stretches of x and the all-o value
-2^k - 1, a whole run at a time, so dividing by a power of two follows the
-run count and the depth, however long the runs.  bitwise merges, in the
+split drops k digits of x - 1 as the common stretches of it and the all-o
+value 2^k - 1, a whole run at a time, so dividing by a power of two follows
+the run count and the depth, however long the runs.  bitwise merges, in the
 same walk, the common stretches of x - 1 and y - 1, whose digits are the
 bits of x and y below their top 1 bits, and keeps or drops the rest of the
 longer operand whole, so sparse sets with elements past ``sys.maxsize``,
@@ -352,16 +352,14 @@ class TreeNatRep(NatRep):
             rest = LEAF
         return _SUCC(_node(runs, rest))
 
-    def _drop_digits(self, k: Tree, x: Tree) -> tuple[Tree, bool]:
+    def _drop_digits(self, k: Tree, x: Tree) -> Tree | None:
         # the common stretches of x and the k-digit all-o value 2^k - 1 are
-        # x's k outermost digits, a whole run at a time; what is left of the
-        # second operand is the digits x lacks
+        # x's k outermost digits, a whole run at a time; None where something
+        # is left of the second operand, the digits x lacks
         if k is LEAF or x is LEAF:
-            return x, True
-        stretches, rest, rest_k, _, _ = _walk(x, VNode(_PRED(_canon(k)), ()), _PAIRS)
-        if rest_k is not LEAF:
-            return LEAF, True
-        return rest, all(xy == 3 for xy, _ in stretches)
+            return x if k is LEAF else None
+        _, rest, rest_k, _, _ = _walk(x, VNode(_PRED(_canon(k)), ()), _PAIRS)
+        return rest if rest_k is LEAF else None
 
     # A run is one counter: its length is the counter + 1.
 
@@ -794,7 +792,8 @@ MAX_DEPTH = 256
 
 def parse_tree(text: str) -> Tree:
     """Inverse of :func:`print_tree`; raises :class:`ParseError` with position,
-    also for trees nested deeper than :data:`MAX_DEPTH`."""
+    also for trees nested deeper than :data:`MAX_DEPTH` and for a leaf head
+    in parentheses, which print_tree writes bare."""
     t, pos = _parse_node(text, 0, 1)
     if pos != len(text):
         raise ParseError("trailing characters after tree", pos)
@@ -824,8 +823,10 @@ def _parse_node(s: str, pos: int, depth: int) -> tuple[Tree, int]:
         head: Tree = LEAF
         pos += 1
     elif pos < len(s) and s[pos] == "(":
-        head, pos = _parse_node(s, pos + 1, depth + 1)
-        pos = _expect(s, pos, ")")
+        head, end = _parse_node(s, pos + 1, depth + 1)
+        if head is LEAF:  # print_tree writes a leaf head bare
+            raise ParseError("a leaf head counter is written T, not (T)", pos)
+        pos = _expect(s, end, ")")
     else:
         raise ParseError("expected head counter ('T' or a parenthesized tree)", pos)
     pos = _expect(s, pos, " ")

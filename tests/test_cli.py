@@ -68,6 +68,12 @@ def test_convert_bad_tree_text(capsys):
     assert code == 1 and "position" in err
 
 
+def test_convert_refuses_a_parenthesized_leaf_head(capsys):
+    code, out, err = run(capsys, "convert", "tree", "tree", "V (T) []")
+    assert code == 1 and out == "" and "position 2" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_convert_refuses_deeply_nested_tree_text(capsys):
     text = "V T []"
     for _ in range(1200):

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -427,12 +428,45 @@ def test_split_agrees_with_divmod(rep):
             assert (rep.to_int(q), rep.to_int(r)) == divmod(x, 1 << k)
 
 
+def test_split_around_powers_of_two(rep):
+    # x - 1 of fewer, exactly k and more digits, and zero, which has no x - 1
+    for k in range(301):
+        kv = rep.from_int(k)
+        for x in (0, 1, (1 << k) - 1, 1 << k, (1 << k) + 1, (1 << k + 3) - 1):
+            q, r = rep.split(kv, rep.from_int(x))
+            assert (rep.to_int(q), rep.to_int(r)) == divmod(x, 1 << k), (k, x)
+
+
+def test_split_stops_where_x_runs_out(rep):
+    # the digits are dropped one at a time, or a run at a time on trees,
+    # only until x - 1 has none left, however large k is
+    k, x = rep.from_int(10**9), rep.from_int(5)
+    start = time.perf_counter()
+    assert rep.split(k, x) == (rep.e, x)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_division_at_equal_bit_lengths_and_all_one_bits(rep):
+    # the set-up reads the difference of the bit lengths off x - 1 and
+    # y - 1: x below, at and above y at one bit length, and x or y of all
+    # 1 bits, 2^n - 1, which has as many digits as bits
+    for n in (2, 3, 4, 7, 8, 9, 64, 65, 130):
+        top, ones = 1 << n - 1, (1 << n) - 1
+        for y in {top + 1, top | top >> 1 | 1, ones}:  # none a power of two
+            xs = {top, y - 1, y, y + 1, ones - 1, ones, ones + 1, (ones << 1) - 1, (ones << 1) + 1}
+            xs |= {(1 << m) - 1 for m in (1, n - 1, n + 1, n + 2, 2 * n)}
+            for x in xs:
+                q, r = rep.div_and_rem(rep.from_int(x), rep.from_int(y))
+                assert (rep.to_int(q), rep.to_int(r)) == divmod(x, y), (x, y)
+
+
 @pytest.mark.parametrize("rep_", [BIJ, BIGNAT, TREE], ids=["bij", "bignat", "tree"])
 def test_generic_run_helpers_against_int_formulas(rep_):
     # the base-class run helpers, the oracle for the tree overrides, against
     # ints: the outermost run is int_runs' first, o^k(y) = 2^k (y + 1) - 1,
     # i^k(y) = 2^k (y + 2) - 2, and y's digits (1 for o, 2 for i, digit j
-    # worth d 2^j) give what is left past its k outermost ones
+    # worth d 2^j) give what is left past its k outermost ones, None past
+    # its end
     rng = random.Random(21)
     f, g = rep_.from_int, rep_.to_int
     for _ in range(150):
@@ -447,12 +481,11 @@ def test_generic_run_helpers_against_int_formulas(rep_):
             kv = f(k)
             assert g(NatRep.run_times(rep_, True, kv, v)) == 2**k * (y + 1) - 1
             assert g(NatRep.run_times(rep_, False, kv, v)) == 2**k * (y + 2) - 2
-            t, all_o = NatRep._drop_digits(rep_, kv, v)
+            t = NatRep._drop_digits(rep_, kv, v)
             if k > len(digits):
-                assert (g(t), all_o) == (0, True)
+                assert t is None
             else:
                 assert g(t) == sum(d << j for j, d in enumerate(digits[k:]))
-                assert all_o == all(d == 1 for d in digits[:k])
 
 
 @pytest.mark.parametrize("rep_, top", [(TREE, 4000), (BIGNAT, 4000), (BIJ, 1000)],

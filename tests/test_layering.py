@@ -151,6 +151,14 @@ def test_long_division_takes_one_step_per_quotient_bit():
     assert not called & {"cmp", "sub"}
 
 
+def test_division_set_up_reads_bit_lengths_off_x_less_one():
+    # the difference of the bit lengths is the digit count of what is left
+    # of x - 1 past y - 1, with no correction for all-o operands: the one
+    # run_trim left is the power-of-two test
+    called = [n.attr for n in ast.walk(_natrep_methods()["div_and_rem"]) if isinstance(n, ast.Attribute)]
+    assert called.count("run_trim") == 1
+
+
 def test_generic_bitwise_has_no_run_merge():
     # NatRep.bitwise is the int definition; the one merge over runs of bits
     # is the tree override's, never a second copy in core

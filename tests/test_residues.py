@@ -8,9 +8,9 @@ operations would keep.
 
 import random
 
-from giantnat import LEAF, LT, TREE, VNode
+from giantnat import LEAF, LT, TREE, VNode, WNode
 from giantnat.codecs import pair_encode
-from giantnat.numtheory import mersenne45, perfect45
+from giantnat.numtheory import fermat, mersenne45, perfect45
 from giantnat.tree import MAX_DEPTH, parse_tree, random_tree
 
 from helpers import exp2_residue, residue, value_if_feasible
@@ -23,12 +23,13 @@ def _residues(x):
     return [residue(x, m) for m in MODULI]
 
 
-def _giants(seed, count, depth=6):
-    # random trees drawn until count of them are too large to expand
+def _giants(seed, count, depth=6, digits=20000):
+    # random trees drawn until count of them have more than the given
+    # number of digits, too many to expand by default
     rng, out = random.Random(seed), []
     while len(out) < count:
         x = random_tree(rng, depth)
-        if value_if_feasible(x) is None:
+        if value_if_feasible(x, digits) is None:
             out.append(x)
     return out
 
@@ -72,6 +73,37 @@ def test_split_and_division_by_a_power_of_two_on_giants():
             _check_split(x, k, *TREE.split(k, x))
         for k in (ks[2], TREE.pred(size)):
             _check_split(x, k, *TREE.div_and_rem(x, TREE.exp2(k)))
+
+
+def _check_division(x, y, q, r):
+    # x = q y + r with r < y
+    for m, rx, ry, rq, rr in zip(MODULI, _residues(x), _residues(y), _residues(q), _residues(r)):
+        assert rx == (rq * ry + rr) % m
+    assert TREE.cmp(r, y) is LT
+
+
+def test_division_of_the_paper_giants():
+    # perfect45 is 2^(p - 1) times mersenne45; F(20) over F(10) leaves 2
+    x, y = perfect45(), mersenne45()
+    _check_division(x, y, *TREE.div_and_rem(x, y))
+    x, y = (fermat(TREE, TREE.from_int(n)) for n in (20, 10))
+    _check_division(x, y, *TREE.div_and_rem(x, y))
+
+
+def test_long_division_by_giants():
+    # x = q y + r for giants y other than powers of two: q - 1 is a node of
+    # one to four runs, many of them longer than 2^64 digits, and r is 0,
+    # y - 1 or y mod 2^j
+    rng = random.Random(25)
+    ys = [y for y in _giants(9, 80, 5) if TREE.run_trim(True, TREE.pred(y)) is not LEAF][:60]
+    counters = _giants(10, 20, 3, 64) + [TREE.from_int(n) for n in (0, 1, 2, 5, 40, 1000)]
+    assert len(ys) == 60
+    for n, y in enumerate(ys):
+        c = [rng.choice(counters) for _ in range(rng.randrange(1, 5))]
+        q = TREE.succ((WNode if n & 1 else VNode)(c[0], tuple(c[1:])))
+        r = (LEAF, TREE.pred(y), TREE.split(TREE.from_int(rng.randrange(1, 200)), y)[1])[n % 3]
+        x = TREE.add(TREE.mul(q, y), r)
+        _check_division(x, y, *TREE.div_and_rem(x, y))
 
 
 def test_add_sub_mul_on_giant_pairs():

@@ -1326,6 +1326,8 @@ def test_parse_errors_carry_positions():
         "V  T []": 2,
         "W (V T [] []": 9,
         "T junk": 1,
+        "V (T) []": 2,  # print_tree never writes (T): one text per tree
+        "W T [V (T) []]": 7,
     }
     for text, pos in cases.items():
         with pytest.raises(ParseError) as err:
