@@ -30,9 +30,11 @@ stretch, as the walk finds it; the final borrow and what is left of each
 operand tell whether y fits, and where it does not, what is left of y goes
 with the verdict: long division reads a run of 0 bits off it.  cmp sums the
 digit counts its operands' counters carry and, if they are equal, lets the
-innermost differing pair of runs decide.  The generic sub, long division
-and run-fold mul are built on these three and the run helpers, so they too
-go a run at a time.  A conversion reads or writes one counter per run.
+innermost differing pair of runs decide; where a counter carries no value,
+it falls back to _gap, the one ordering of such trees, which the run walk
+also takes on two such counters.  The generic sub, long division and
+run-fold mul are built on these three and the run helpers, so they too go
+a run at a time.  A conversion reads or writes one counter per run.
 split drops k digits of x - 1 as the common stretches of it and the all-o
 value 2^k - 1, a whole run at a time, so dividing by a power of two follows
 the run count and the depth, however long the runs.  bitwise merges, in the
@@ -271,7 +273,7 @@ class TreeNatRep(NatRep):
         try:  # every counter carries its value: the longer operand is larger
             d = sum([c._value for c in xs]) + len(xs) - sum([c._value for c in ys]) - len(ys)
         except TypeError:
-            return _order(*_walk(x, y, _PAIRS)[:3])
+            return _gap(x, y)[0]
         if d:
             return GT if d > 0 else LT
         # equal digit counts: the first pair of runs from the innermost that
@@ -482,9 +484,10 @@ def _walk(x: Tree, y: Tree, table: tuple):
             k = k - 1 if type(k) is int else _PRED(k)
 
 
-# The stretches themselves, (2 xo + yo, k), for _gap, _drop_digits and cmp
-# on counters without a value: a table that keeps the digit pair, which
-# changes from each stretch to the next, so none merge.
+# The stretches themselves, (2 xo + yo, k), for _gap, which orders and
+# subtracts trees whose counters carry no value, and _drop_digits: a table
+# that keeps the digit pair, which changes from each stretch to the next,
+# so none merge.
 _PAIRS = tuple((xy, 0) for xy in range(4))
 
 
@@ -528,49 +531,32 @@ def _canon(k: Tree) -> Tree:
     return _counter(value)
 
 
-def _gap(a: Tree, b: Tree):
-    # Order of any two counters, and one less than their distance (None when
-    # equal), from one walk of both and one borrow pass over its stretches:
-    # comparing and then subtracting would walk them twice, and so on every
-    # level below, exponentially in the depth.
-    if b is LEAF:
-        return (EQ, None) if a is LEAF else (GT, _PRED(a))
-    if a is LEAF:
-        return LT, _PRED(b)
-    stretches, rest_a, rest_b, _, _ = _walk(a, b, _PAIRS)
-    order = _order(stretches, rest_a, rest_b)
-    if order is EQ:
-        return EQ, None
-    if order is LT:  # b - a: each digit pair swapped
-        stretches, rest_a = [((0, 2, 1, 3)[xy], k) for xy, k in stretches], rest_b
-    return order, _PRED(_borrowed(*_carry_runs(stretches), rest_a))
-
-
-def _order(stretches: list, rest_x: Tree, rest_y: Tree) -> Ordering:
-    # x against y from their _PAIRS stretches and what is left of each, for
-    # _gap and cmp on counters without a value: the operand that ends first
-    # is smaller, else the innermost stretch where the digits differ decides
-    if rest_x is not LEAF:
-        return GT
-    if rest_y is not LEAF:
-        return LT
-    for xy, _ in reversed(stretches):
-        if xy == 1 or xy == 2:
-            return LT if xy == 2 else GT
-    return EQ
-
-
-def _carry_runs(stretches: list):
-    # _walk's borrow automaton over a list of stretches, for _gap: the runs
-    # of x - y and the borrow past them
-    table = _CARRY[-1]
-    runs: list = []  # as in _walk
-    last_o = last_k = None
-    carry = 0
+def _gap(x: Tree, y: Tree):
+    # Order of any two trees, for _walk and cmp where a counter carries no
+    # value, and one less than their distance (None when equal), from one
+    # walk of both and one borrow pass over its stretches: comparing and
+    # then subtracting would walk them twice, and so on every level below,
+    # exponentially in the depth.
+    if y is LEAF:
+        return (EQ, None) if x is LEAF else (GT, _PRED(x))
+    if x is LEAF:
+        return LT, _PRED(y)
+    stretches, rest, rest_y, _, _ = _walk(x, y, _PAIRS)
+    if rest is not LEAF or rest_y is not LEAF:  # the operand that ends first is smaller
+        order = GT if rest is not LEAF else LT
+    else:  # the innermost stretch whose digits differ decides
+        xy = next((xy for xy, _ in reversed(stretches) if xy == 1 or xy == 2), None)
+        if xy is None:
+            return EQ, None
+        order = LT if xy == 2 else GT
+    if order is LT:  # y - x: each digit pair swapped
+        stretches, rest = [((0, 2, 1, 3)[xy], k) for xy, k in stretches], rest_y
+    # the borrow automaton over the stretches, its last run held open as in _walk
+    table, runs, last_o, last_k, borrow = _CARRY[-1], [], None, None, 0
     for xy, k in stretches:
         while True:
-            o, nxt = table[4 * carry + xy]
-            n = k if nxt == carry else 0
+            o, nxt = table[4 * borrow + xy]
+            n = k if nxt == borrow else 0
             if o != last_o:
                 runs.append((last_o, last_k))
                 last_o, last_k = o, n
@@ -578,15 +564,15 @@ def _carry_runs(stretches: list):
                 last_k += n + 1
             else:
                 last_k = _SUCC(_ADD(_as_counter(last_k), _as_counter(n)))
-            if nxt == carry:
+            if nxt == borrow:
                 break
-            carry = nxt
+            borrow = nxt
             if not k or k is LEAF:
                 break
             k = k - 1 if type(k) is int else _PRED(k)
     runs.append((last_o, last_k))
     del runs[0]
-    return runs, carry
+    return order, _PRED(_borrowed(runs, borrow, rest))
 
 
 def _borrowed(runs: list, borrow: int, rest: Tree) -> Tree | None:

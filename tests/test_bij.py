@@ -74,6 +74,7 @@ def test_equality_across_diverged_buffers():
     assert a == b
     assert a != BIJ.from_int(43)
     assert BIJ.e == parse_digit_string("e")
+    assert a.__eq__("oioii") is NotImplemented and a != "oioii"
 
 
 def test_values_are_stable_under_sibling_extension():

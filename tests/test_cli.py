@@ -3,14 +3,18 @@
 import contextlib
 import hashlib
 import io
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import giantnat
 from giantnat.bignat import oracle_bitsize, print_decimal
 from giantnat.cli import bench_lines, convert_text, main
 
@@ -33,6 +37,16 @@ def run(capsys, *argv):
 def test_convert_dec_to_tree(capsys):
     code, out, _ = run(capsys, "convert", "dec", "tree", "42")
     assert code == 0 and out == "W (V T []) [T,T,T]\n"
+
+
+def test_module_runs_as_a_command():
+    # python -m giantnat.cli: the answer and exit 0, or one line on stderr and exit 1
+    env = {**os.environ, "PYTHONPATH": str(Path(giantnat.__file__).parent.parent)}
+    command = [sys.executable, "-m", "giantnat.cli", "convert", "dec", "tree"]
+    ok = subprocess.run([*command, "42"], capture_output=True, text=True, env=env, timeout=120)
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, "W (V T []) [T,T,T]\n", "")
+    bad = subprocess.run([*command, "x"], capture_output=True, text=True, env=env, timeout=120)
+    assert bad.returncode == 1 and bad.stdout == "" and len(bad.stderr.splitlines()) == 1
 
 
 def test_convert_dec_to_bij(capsys):

@@ -35,6 +35,8 @@ def test_recognizers_partition_domain(rep):
         flags = (rep.is_e(x), rep.is_o(x), rep.is_i(x))
         assert sum(flags) == 1
         assert flags == (k == 0, k % 2 == 1, k > 0 and k % 2 == 0)
+        # the generic recognizers, which every representation overrides
+        assert (NatRep.is_e(rep, x), NatRep.is_i(rep, x)) == (flags[0], flags[2])
 
 
 def test_digit_constructors_and_inverses(rep):

@@ -182,7 +182,7 @@ def test_carry_walk_merges_its_runs_itself():
     # read one table and hold their last run open: no _put per digit and
     # no table counter per stretch
     functions = _tree_functions()
-    for name in ("_carry_runs", "_walk"):
+    for name in ("_gap", "_walk"):
         called = _called_names(functions[name])
         assert called and not called & {"_put", "_counter"}, name
 

@@ -7,11 +7,12 @@ operations would keep.
 """
 
 import random
+from functools import cmp_to_key
 
-from giantnat import LEAF, LT, TREE, VNode, WNode
-from giantnat.codecs import pair_encode
+from giantnat import EQ, LEAF, LT, TREE, NatRep, VNode, WNode
+from giantnat.codecs import from_set, l_and, l_dif, l_or, l_xor, pair_encode
 from giantnat.numtheory import fermat, mersenne45, perfect45
-from giantnat.tree import MAX_DEPTH, parse_tree, random_tree
+from giantnat.tree import MAX_DEPTH, _gap, parse_tree, random_tree
 
 from helpers import exp2_residue, residue, value_if_feasible
 
@@ -185,3 +186,51 @@ def test_bitsize_and_dual_on_giants():
         assert _residues(n) == [sum(residue(c, m) + 1 for c in (x.head, *x.tail)) % m for m in MODULI]
         assert _residues(TREE.dual(x)) == [
             (3 * (exp2_residue(n, m) - 1) - r) % m for m, r in zip(MODULI, _residues(x))]
+
+
+def test_gap_on_giant_counters():
+    # _gap orders trees whose counters carry no value, as the generic cmp,
+    # the subtraction step's verdict, does, and the smaller plus the gap
+    # plus one is the larger: on giants, the towers, Fermat counters 2^n - 3
+    # and counters past a word; each against its dual (same digit count),
+    # its successor, itself and a few others
+    rng = random.Random(26)
+    x, below, deepest = _towers()
+    pool = _giants(11, 24) + [x, below, deepest, VNode(deepest, (LEAF,))]
+    for n in (TREE.from_int(k) for k in (11, 20, 63, 64, 70, 100)):
+        pool.append(fermat(TREE, n).tail[1])
+    pool += [fermat(TREE, TREE.exp2(TREE.from_int(100))).tail[1], fermat(TREE, below).tail[1]]
+    pool += [TREE.from_int(v) for v in (2**63 - 2, 2**63, 2**64 + 5, 3**50)]
+    for a in pool:
+        for b in [TREE.dual(a), TREE.succ(a), a, *rng.sample(pool, 4)]:
+            order, gap = _gap(a, b)
+            assert order is NatRep.cmp(TREE, a, b)
+            if order is EQ:
+                assert gap is None
+                continue
+            small, big = (a, b) if order is LT else (b, a)
+            sums = [s + g + 1 for s, g in zip(_residues(small), _residues(gap))]
+            assert [s % m for m, s in zip(MODULI, sums)] == _residues(big)
+
+
+def test_bitwise_on_sparse_sets_of_giant_elements():
+    # bit e of X is 1 for each element e of its set view, so X mod m is the
+    # sum of 2^e mod m over them: l_and, l_or, l_xor and l_dif on sets with
+    # giant elements, checked by index sets alone, apart from add, sub and
+    # the set views
+    rng = random.Random(27)
+    pool = [TREE.from_int(v) for v in (0, 3, 2**64, 2**70, 2**80)]
+    pool += [random_tree(rng, 5) for _ in range(10)]
+    pool = [e for k, e in enumerate(pool) if e not in pool[:k]]
+    pool.sort(key=cmp_to_key(lambda a, b: TREE.cmp(a, b).value))
+    powers = [[exp2_residue(e, m) for m in MODULI] for e in pool]
+
+    def residues_of(ks):
+        return [sum(powers[k][j] for k in ks) % m for j, m in enumerate(MODULI)]
+
+    for _ in range(60):
+        a, b = ({k for k in range(len(pool)) if rng.random() < 0.4} for _ in range(2))
+        x, y = (from_set(TREE, [pool[k] for k in sorted(ks)]) for ks in (a, b))
+        assert _residues(x) == residues_of(a) and _residues(y) == residues_of(b)
+        for op, ks in ((l_and, a & b), (l_or, a | b), (l_xor, a ^ b), (l_dif, a - b)):
+            assert _residues(op(TREE, x, y)) == residues_of(ks), op.__name__

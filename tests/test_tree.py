@@ -30,7 +30,6 @@ from giantnat.tree import (
     _counter,
     _gap,
     _node,
-    _order,
     _put,
     _walk,
     dag_to_dot,
@@ -1031,17 +1030,19 @@ def test_sub_if_fits_agrees_with_generic_step():
 
 def test_innermost_cmp_agrees_with_generic():
     # operands of one digit count go to the innermost runs: random pairs,
-    # and pairs that differ only in the innermost or outermost digit
+    # and pairs that differ only in the innermost or outermost digit; their
+    # _plain copies, whose counters carry no value, go to _gap
     rng = random.Random(1901)
     pairs = [(_same_length(rng, d), _same_length(rng, d)) for d in range(1, 300, 2) for _ in range(3)]
     for d in range(2, 200, 7):
         base, r = (1 << d) - 1, rng.getrandbits(d)  # bit j of r set: digit j of base + r is i
         pairs += [(base + r, base + r), (base + r, base + (r ^ 1)), (base + r, base + (r ^ 1 << d - 1))]
     for a, b in pairs:
-        for u, v in ((t(a), t(b)), (t(b), t(a))):
+        x, y = t(a), t(b)
+        for u, v in ((x, y), (y, x), (_plain(x), _plain(y)), (_plain(y), _plain(x))):
             assert TREE.cmp(u, v) is NatRep.cmp(TREE, u, v)
             assert TREE.cmp(u, v) is _verdict(NatRep._sub_if_fits(TREE, u, v)[0])
-            assert TREE.cmp(u, v) is _order(*_walk(u, v, _PAIRS)[:3])
+            assert TREE.cmp(u, v) is _gap(u, v)[0]
 
 
 def test_fused_walk_and_innermost_cmp_on_mixed_counters():
@@ -1064,7 +1065,7 @@ def test_fused_walk_and_innermost_cmp_on_mixed_counters():
             assert TREE.sub(TREE.add(x, y), y) == x
             order = TREE.cmp(x, y)
             assert TREE.cmp(y, x) is flip[order]
-            assert order is _order(*_walk(x, y, _PAIRS)[:3])
+            assert order is _gap(x, y)[0]
             assert (TREE._sub_if_fits(x, y)[0] is None) == (order is LT)
 
 
