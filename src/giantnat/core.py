@@ -159,20 +159,17 @@ class NatRep(ABC):
 
     def pred(self, x: N) -> N:
         """Value minus one; domain error on zero."""
-        is_o, o_inv, is_e = self.is_o, self.o_inv, self.is_e
-        runs = 0
+        is_o, o_inv = self.is_o, self.o_inv
+        runs = 0  # the outermost o run, stripped: its digits turn into i
         while is_o(x):
-            stripped = o_inv(x)
-            if is_e(stripped):
-                # x was the lone-o-digit value; the run below it is empty
-                x = self.e
-                break
-            x = stripped
+            x = o_inv(x)
             runs += 1
-        else:
-            if not self.is_i(x):
-                raise DomainError("predecessor of zero")
+        if self.is_i(x):  # the i digit under the run turns into o
             x = self.o(self.i_inv(x))
+        elif runs:  # 2^n - 1 less one is n - 1 i digits
+            runs -= 1
+        else:
+            raise DomainError("predecessor of zero")
         if runs:
             i = self.i
             for _ in range(runs):

@@ -231,7 +231,7 @@ class TreeNatRep(NatRep):
     def repsize(self, x: Tree) -> Tree:
         # count of non-leaf nodes, counted as an int and converted once
         def count(u: Tree) -> int:
-            return 0 if u is LEAF else 1 + count(u.head) + sum(map(count, u.tail))
+            return (u is not LEAF) + sum(map(count, _children(u)))
         return _as_counter(count(x))
 
     def run_count(self, o_digit: bool, x: Tree) -> Tree:
@@ -293,10 +293,6 @@ class TreeNatRep(NatRep):
         u, v = x._value, y._value
         if u is not None and v is not None and u + v < sys.maxsize:
             return _counter(u + v)
-        if x is LEAF:
-            return y
-        if y is LEAF:
-            return x
         runs, rest_x, rest_y, carry, _ = _walk(x, y, _CARRY[1])
         rest = rest_y if rest_x is LEAF else rest_x
         for _ in range(carry):
@@ -312,10 +308,6 @@ class TreeNatRep(NatRep):
                 return _counter(u - v), LEAF
             # y without x's digits: y + 1 without as many low bits (see int_runs)
             return None, _counter(((v + 1) >> (u + 1).bit_length() - 1) - 1)
-        if y is LEAF:
-            return x, LEAF
-        if x is LEAF:
-            return None, y
         runs, rest, rest_y, borrow, _ = _walk(x, y, _CARRY[-1])
         if rest_y is not LEAF:
             return None, rest_y
@@ -333,8 +325,7 @@ class TreeNatRep(NatRep):
             return x if table[2] else LEAF
         a, b = _PRED(x), _PRED(y)
         o_out = [not bit for bit in reversed(table)]  # index 2 xo + yo
-        runs, rest_a, rest_b = (([], a, b) if a is LEAF or b is LEAF
-                                else _walk(a, b, tuple((o, 0) for o in o_out))[:3])
+        runs, rest_a, rest_b = _walk(a, b, tuple((o, 0) for o in o_out))[:3]
         rest = None  # what is left of the longer operand, when it is kept
         if rest_a is LEAF and rest_b is LEAF:  # the two top 1 bits meet
             _put(runs, o_out[0], LEAF)
@@ -358,8 +349,8 @@ class TreeNatRep(NatRep):
         # the common stretches of x and the k-digit all-o value 2^k - 1 are
         # x's k outermost digits, a whole run at a time; None where something
         # is left of the second operand, the digits x lacks
-        if k is LEAF or x is LEAF:
-            return x if k is LEAF else None
+        if k is LEAF:
+            return x
         _, rest, rest_k, _, _ = _walk(x, VNode(_PRED(_canon(k)), ()), _PAIRS)
         return rest if rest_k is LEAF else None
 
@@ -398,12 +389,17 @@ def _flip_under(node: type, head: Tree, tail: tuple) -> Tree:
     return node(head, (LEAF,))
 
 
+def _children(x: Tree) -> tuple:
+    # a node's counters, head first; zero has none
+    return () if x is LEAF else (x.head, *x.tail)
+
+
 def _runs(x: Tree) -> tuple[list, int]:
     # x's runs and its digit count.  A counter of more digits than an index
     # has bits makes a run no list or string holds: it is refused from its
     # own digit count, before runs_int expands it.
     runs, digits, o_digit = [], 0, type(x) is VNode
-    for counter in () if x is LEAF else (x.head, *x.tail):
+    for counter in _children(x):
         n = counter._value  # a table counter's run fits an index
         if n is None:
             counter_runs, counter_digits = _runs(counter)
@@ -418,15 +414,17 @@ def _runs(x: Tree) -> tuple[list, int]:
 
 
 def _walk(x: Tree, y: Tree, table: tuple):
-    # Two nonzero trees read in common stretches, outermost first, each the
-    # shorter of the two current runs taken off both and one digit longer
-    # than its counter k, and each run through the automaton table (see
-    # core._CARRY, which NatRep._carry_pass runs a digit at a time) as it
-    # is found: the result's runs merge into the last one, held open.  What
-    # is left of a run is held as its counter's value where it carries one,
-    # so two of them order and subtract as ints; others take _gap.  Returns
-    # the runs, what is left of x and of y once one of them ends (at least
-    # one is zero), the carry and the stretch count.
+    # Two trees read in common stretches, outermost first, each the shorter
+    # of the two current runs taken off both and one digit longer than its
+    # counter k, and each run through the automaton table (see core._CARRY,
+    # which NatRep._carry_pass runs a digit at a time) as it is found: the
+    # result's runs merge into the last one, held open.  What is left of a
+    # run is held as its counter's value where it carries one, so two of
+    # them order and subtract as ints; others take _gap.  Returns the runs,
+    # what is left of x and of y once one ends (at least one is zero; zero
+    # has no runs and comes back as it is), the carry and the stretch count.
+    if x is LEAF or y is LEAF:
+        return [], x, y, 0, 0
     xs, ys = (x.head, *x.tail), (y.head, *y.tail)
     nx, ny = len(xs), len(ys)
     xy = 2 * (type(x) is not VNode) + (type(y) is not VNode)  # 2 xo + yo, flipped as a run opens
@@ -537,10 +535,6 @@ def _gap(x: Tree, y: Tree):
     # walk of both and one borrow pass over its stretches: comparing and
     # then subtracting would walk them twice, and so on every level below,
     # exponentially in the depth.
-    if y is LEAF:
-        return (EQ, None) if x is LEAF else (GT, _PRED(x))
-    if x is LEAF:
-        return LT, _PRED(y)
     stretches, rest, rest_y, _, _ = _walk(x, y, _PAIRS)
     if rest is not LEAF or rest_y is not LEAF:  # the operand that ends first is smaller
         order = GT if rest is not LEAF else LT
@@ -639,13 +633,14 @@ def memo_stats() -> dict[str, dict[str, int]]:
 
 
 def _node(runs: list, rest: Tree) -> Tree:
-    # one tree from runs of alternating digits, outermost first, then rest
+    # one tree from runs of alternating digits, outermost first, then rest;
+    # rest itself when there are no runs
+    if not runs:
+        return rest
     tail: tuple = ()
     if rest is not LEAF:
         _put(runs, type(rest) is VNode, rest.head)
         tail = rest.tail
-    if not runs:
-        return LEAF
     # most runs are ints that fit a word: they take the table without a call
     head, *counters = [_counter(k) if type(k) is int and k < sys.maxsize else _as_counter(k)
                        for _, k in runs]
@@ -654,9 +649,7 @@ def _node(runs: list, rest: Tree) -> Tree:
 
 def node_count(x: Tree) -> int:
     """Total node count, leaves included, as a plain int."""
-    if x is LEAF:
-        return 1
-    return 1 + node_count(x.head) + sum(node_count(c) for c in x.tail)
+    return 1 + sum(map(node_count, _children(x)))
 
 
 # ----------------------------------------------------------------------
@@ -690,13 +683,9 @@ def fold_to_dag(t: Tree) -> Dag:
             return nid
         nid = len(nodes)
         ids[u] = nid
-        if u is LEAF:
-            nodes.append((nid, "T"))
-            edges.append(())
-            return nid
-        nodes.append((nid, "V" if type(u) is VNode else "W"))
+        nodes.append((nid, "T" if u is LEAF else "V" if type(u) is VNode else "W"))
         edges.append(())
-        edges[nid] = tuple(visit(c) for c in (u.head, *u.tail))
+        edges[nid] = tuple(visit(c) for c in _children(u))
         return nid
 
     root = visit(t)

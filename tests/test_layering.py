@@ -195,7 +195,22 @@ def test_add_and_subtraction_walk_their_operands_once():
         fn = functions[name]
         assert "_walk" in _called_names(fn), name
         named = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
-        assert not named & {"_stretches", "_carry_runs", "_order", "_PAIRS"}, name
+        assert not named & {"_gap", "_PAIRS"}, name
+
+
+def test_walk_takes_zero_with_no_fork_before_it():
+    # zero is a tree of no runs, which the run walk reads itself: add, the
+    # subtraction step and _gap compare no operand with LEAF before they walk
+    functions = _tree_functions()
+    for name in ("add", "_sub_if_fits", "_gap"):
+        fn = functions[name]
+        operands = {arg.arg for arg in fn.args.args}
+        walk = next(k for k, stmt in enumerate(fn.body) if "_walk" in _called_names(stmt))
+        for stmt in fn.body[:walk]:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Compare):
+                    named = {n.id for n in (node.left, *node.comparators) if isinstance(n, ast.Name)}
+                    assert not ("LEAF" in named and named & operands), f"{name}:{node.lineno}"
 
 
 def test_bitwise_ops_never_build_the_set_view():

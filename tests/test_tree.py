@@ -660,6 +660,28 @@ def _plain(x):
     return type(x)(_plain(x.head), tuple(map(_plain, x.tail)))
 
 
+def test_zero_is_a_tree_of_no_runs():
+    # the run walk reads zero as no runs and gives both operands back as
+    # they are, so add, the subtraction step and _gap need no zero fork
+    tower = LEAF
+    for _ in range(MAX_DEPTH):
+        tower = TREE.exp2(tower)
+    past_a_word = VNode(TREE.from_int(2**70), ())
+    for g in (mersenne45(), tower, _plain(fermat(TREE, t(20))), past_a_word, t(5)):
+        for table in (_CARRY[1], _CARRY[-1], _PAIRS):
+            runs, x, y, carry, count = _walk(LEAF, g, table)
+            assert (runs, x, carry, count) == ([], LEAF, 0, 0) and y is g
+            runs, x, y, carry, count = _walk(g, LEAF, table)
+            assert (runs, y, carry, count) == ([], LEAF, 0, 0) and x is g
+        assert TREE.add(LEAF, g) is g and TREE.add(g, LEAF) is g
+        assert TREE._sub_if_fits(g, LEAF)[0] is g
+        diff, left = TREE._sub_if_fits(LEAF, g)
+        assert diff is None and left is g
+        below = TREE.pred(g)
+        assert _gap(LEAF, g) == (LT, below) and _gap(g, LEAF) == (GT, below)
+    assert _gap(LEAF, LEAF) == (EQ, None)
+
+
 def _walk_gap(a, b):
     # order and distance of two counters as the run walk finds them, from the
     # one-run values a + 1 and b + 1
