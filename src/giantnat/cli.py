@@ -255,23 +255,21 @@ def _bench_div45(rep: NatRep) -> str:
     return f"{_digest_bitsize(TREE, q)},zero-rem={TREE.is_e(r)}"
 
 
-_BENCHES: list[tuple[str, Callable[[NatRep], str]]] = [
-    ("ack-3-7", _bench_ack),
-    ("exp2-exp2-14", _bench_exp2),
-    ("sparse-set", _bench_sparse),
-    ("bitsize45:mersenne45", _bench_bitsize45_m),
-    ("bitsize45:perfect45", _bench_bitsize45_p),
-    ("div45:perfect45-by-mersenne45", _bench_div45),
-    ("primes-100", _bench_primes),
-    ("mersenne-tests", _bench_mersenne),
-    ("syracuse:lengths-2000", _bench_syr_lengths),
-    ("syracuse:compress-100", _bench_syr_compress),
-    ("syracuse:compress-twice-20", _bench_syr_compress_twice),
+# (name, runner, tree only): a tree-only line would expand compressed giants
+# on the other representations
+_BENCHES: list[tuple[str, Callable[[NatRep], str], bool]] = [
+    ("ack-3-7", _bench_ack, False),
+    ("exp2-exp2-14", _bench_exp2, False),
+    ("sparse-set", _bench_sparse, False),
+    ("bitsize45:mersenne45", _bench_bitsize45_m, True),
+    ("bitsize45:perfect45", _bench_bitsize45_p, True),
+    ("div45:perfect45-by-mersenne45", _bench_div45, True),
+    ("primes-100", _bench_primes, False),
+    ("mersenne-tests", _bench_mersenne, False),
+    ("syracuse:lengths-2000", _bench_syr_lengths, False),
+    ("syracuse:compress-100", _bench_syr_compress, False),
+    ("syracuse:compress-twice-20", _bench_syr_compress_twice, True),
 ]
-
-# lines only trees can run: the others would expand compressed giants
-_TREE_ONLY = {"bitsize45:mersenne45", "bitsize45:perfect45", "div45:perfect45-by-mersenne45",
-              "syracuse:compress-twice-20"}
 
 
 def _suite_of(name: str) -> str:
@@ -279,7 +277,7 @@ def _suite_of(name: str) -> str:
     return re.split("[-:]", name, maxsplit=1)[0]
 
 
-BENCH_SUITES = (*dict.fromkeys(_suite_of(name) for name, _ in _BENCHES), "all")
+BENCH_SUITES = (*dict.fromkeys(_suite_of(name) for name, _, _ in _BENCHES), "all")
 
 
 def bench_lines(suite: str, rep_letter: str) -> Iterable[str]:
@@ -289,10 +287,10 @@ def bench_lines(suite: str, rep_letter: str) -> Iterable[str]:
     yield ``?`` placeholders instead of timings.
     """
     rep = _LETTER_REP[rep_letter]
-    for name, runner in _BENCHES:
+    for name, runner, tree_only in _BENCHES:
         if suite != "all" and _suite_of(name) != suite:
             continue
-        if rep_letter != "t" and name in _TREE_ONLY:
+        if tree_only and rep_letter != "t":
             yield f"{name} {rep_letter} ? ?"
             continue
         start = time.perf_counter()

@@ -41,13 +41,13 @@ the run count and the depth, however long the runs.  bitwise merges, in the
 same walk, the common stretches of x - 1 and y - 1, whose digits are the
 bits of x and y below their top 1 bits, and keeps or drops the rest of the
 longer operand whole, so sparse sets with elements past ``sys.maxsize``,
-whose runs no list holds, combine at node level.  Counters that fit a word
-come from one table, one object per value, and carry their value: succ,
-pred and add open with an int step on them, and the run walks hold them as
-ints from order to merge, so on operands of many short runs a stretch costs
-a few int steps, not a counter walk.  Small computed or parsed counters
-join the table where they enter a node; only towers and counters past a
-word take the recursive steps.
+whose runs no list holds, combine at node level.  Counters made from ints
+come from one table, one object per value, and those that fit a word carry
+their value: succ, pred and add open with an int step on them, and the run
+walks hold them as ints from order to merge, so on operands of many short
+runs a stretch costs a few int steps, not a counter walk.  Small computed
+or parsed counters join the table where they enter a node; only towers and
+counters past a word take the recursive steps.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ class TreeNatRep(NatRep):
 
     def succ(self, x: Tree) -> Tree:
         v = x._value  # a table counter, zero included, steps as an int
-        if v is not None and v + 1 < sys.maxsize:
+        if v is not None:
             return _counter(v + 1)
         if type(x) is VNode:  # the outermost o digit becomes an i digit
             return _flip(WNode, x.head, x.tail)
@@ -278,20 +278,19 @@ class TreeNatRep(NatRep):
             return GT if d > 0 else LT
         # equal digit counts: the first pair of runs from the innermost that
         # differs in digit or, as runs alternate, in length decides
-        i, j = len(xs) - 1, len(ys) - 1
-        o = (type(x) is VNode) != i & 1  # x's innermost digit is o
-        if o != ((type(y) is VNode) != j & 1):
+        o = (type(x) is VNode) != (len(xs) - 1) & 1  # x's innermost digit is o
+        if o != ((type(y) is VNode) != (len(ys) - 1) & 1):
             return LT if o else GT
-        while i >= 0:
-            a, b = xs[i]._value, ys[j]._value
+        for a, b in zip(reversed(xs), reversed(ys)):  # both end together
+            a, b = a._value, b._value
             if a != b:  # the shorter run meets the other digit first
                 return LT if (a > b) is o else GT
-            i, j, o = i - 1, j - 1, not o
+            o = not o
         return EQ
 
     def add(self, x: Tree, y: Tree) -> Tree:
         u, v = x._value, y._value
-        if u is not None and v is not None and u + v < sys.maxsize:
+        if u is not None and v is not None:
             return _counter(u + v)
         runs, rest_x, rest_y, carry, _ = _walk(x, y, _CARRY[1])
         rest = rest_y if rest_x is LEAF else rest_x
@@ -490,26 +489,26 @@ _PAIRS = tuple((xy, 0) for xy in range(4))
 
 
 # The run walks meet the same few counters again and again: a random
-# 2^11-digit operand has 1024 runs but 11 distinct counters.  A counter of
-# value v < sys.maxsize (its run v + 1 fits an index, as _runs requires)
-# comes from one table, _counter, and carries v: conversions draw their
-# counters from it, _canon brings in small computed and parsed ones, and a
-# counter step on them is an int step to a table counter; towers and
-# counters past a word take the recursive steps.  The table keeps the
-# _MEMO_SIZE most recently used (an evicted counter is only rebuilt, with
-# its value): a pass of a perfbench op list from an empty table left 59-60
-# entries on giant-tree, 15 on desk-numtheory and 123-144 on codec-cli.
+# 2^11-digit operand has 1024 runs but 11 distinct counters.  Every int
+# counter, conversions' and the walks' of any size, enters through one
+# table, _counter; only one of value v < sys.maxsize (its run v + 1 fits an
+# index, as _runs requires) carries v, and steps as an int.  _canon brings
+# in small computed and parsed counters.  The table keeps the _MEMO_SIZE
+# most recently used (an evicted counter is only rebuilt, with its value):
+# a pass of a perfbench op list from an empty table left 59-60 entries on
+# giant-tree, 15 on desk-numtheory and 123-144 on codec-cli.
 _MEMO_SIZE = 1024
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _counter(n: int) -> Tree:
-    # the table's counter of value n, 0 <= n < sys.maxsize; the only place a
-    # node is given its value
+    # the table's counter of value n >= 0, and the only place a node is given
+    # its value: one below sys.maxsize carries it, a larger one does not
     if not n:
         return LEAF
     c = TREE._from_runs(int_runs(n))
-    c._value = n
+    if n < sys.maxsize:
+        c._value = n
     return c
 
 
@@ -619,15 +618,13 @@ def _put(runs: list, o_digit, k) -> None:
 
 
 def _as_counter(k) -> Tree:
-    # a run counter as a tree: ints from the walks and merges come from the table
-    if type(k) is not int:
-        return k
-    return _counter(k) if k < sys.maxsize else TREE.from_int(k)
+    # a run counter as a tree: ints of any size enter through the table
+    return _counter(k) if type(k) is int else k
 
 
 def memo_stats() -> dict[str, dict[str, int]]:
     """Hits, misses and entry count of the counter table, ``counter``: one
-    counter per value that fits a word.  Reading them costs it nothing."""
+    counter per int value.  Reading them costs it nothing."""
     info = _counter.cache_info()
     return {"counter": {"hits": info.hits, "misses": info.misses, "size": info.currsize}}
 
@@ -641,9 +638,8 @@ def _node(runs: list, rest: Tree) -> Tree:
     if rest is not LEAF:
         _put(runs, type(rest) is VNode, rest.head)
         tail = rest.tail
-    # most runs are ints that fit a word: they take the table without a call
-    head, *counters = [_counter(k) if type(k) is int and k < sys.maxsize else _as_counter(k)
-                       for _, k in runs]
+    # most runs are ints: they take the table without a call to _as_counter
+    head, *counters = [_counter(k) if type(k) is int else k for _, k in runs]
     return (VNode if runs[0][0] else WNode)(head, (*counters, *tail))
 
 

@@ -261,3 +261,23 @@ def test_counter_steps_are_trees_own_methods():
     assert not defined & {"_SUCC", "_PRED", "_ADD"}
     for alias, method in (("_SUCC", "succ"), ("_PRED", "pred"), ("_ADD", "add")):
         assert getattr(giantnat.tree, alias).__func__ is getattr(giantnat.tree.TreeNatRep, method)
+
+
+def _word_edge_reads(node) -> int:
+    # how many times node reads sys.maxsize, by attribute or imported name
+    return sum(isinstance(n, ast.Attribute) and n.attr == "maxsize"
+               or isinstance(n, ast.Name) and n.id == "maxsize" for n in ast.walk(node))
+
+
+def test_only_the_table_decides_which_counters_carry_a_value():
+    # every int counter enters a node through _counter, which alone tests
+    # the word edge; besides it only _MAX_RUN_DIGITS reads sys.maxsize, a
+    # module constant that bounds expansion, not carrying
+    module = ast.parse((PACKAGE / "tree.py").read_text())
+    readers = [node.name for node in ast.walk(module)
+               if isinstance(node, ast.FunctionDef) and _word_edge_reads(node)]
+    assert readers == ["_counter"]
+    bound = [stmt for stmt in module.body if isinstance(stmt, ast.Assign) and _word_edge_reads(stmt)]
+    assert [target.id for stmt in bound for target in stmt.targets] == ["_MAX_RUN_DIGITS"]
+    counter = next(node for node in module.body if getattr(node, "name", None) == "_counter")
+    assert _word_edge_reads(module) == _word_edge_reads(counter) + _word_edge_reads(bound[0])

@@ -704,6 +704,7 @@ def test_counter_table_agrees_with_recursive_steps():
     rng = random.Random(915)
     edge = [base + d for base in (1 << 62, sys.maxsize, 1 << 63) for d in range(-3, 4)]
     counters = [t(v) if v >= sys.maxsize else _counter(v) for v in [*range(301), *edge]]
+    counters += [_counter(v) for v in edge if v >= sys.maxsize]  # the table past the word
     counters += [_plain(c) for c in rng.sample(counters, 30)] + [_tower(k) for k in range(1, 6)]
     results = []
     for a in counters:
@@ -797,6 +798,21 @@ def test_parsed_and_computed_small_counters_come_from_the_table():
     # value; sys.maxsize has 63 and stays out
     assert _canon(t(sys.maxsize - 1))._value == sys.maxsize - 1
     assert _canon(t(sys.maxsize))._value is None
+
+
+def test_deepest_towers_take_few_recursive_counter_steps(monkeypatch):
+    # the ops of test_arith_on_deepest_towers, counted: each level orders and
+    # subtracts its pair of counters in one walk, so the recursive steps grow
+    # with the square of the depth, and cmp's with the depth.  A walk whose
+    # merges add counters without a value would take about the cube
+    x, z = (parse_tree("V (" * (MAX_DEPTH - 1) + inner + ") []" * (MAX_DEPTH - 1))
+            for inner in ("V T []", "W T []"))
+    calls = _count_gaps(monkeypatch)
+    assert TREE.cmp(x, z) is LT and TREE.cmp(z, x) is GT
+    assert len(calls) <= 4 * MAX_DEPTH
+    assert TREE.sub(TREE.add(x, z), z) == x
+    assert TREE.pred(TREE.sub(z, x)) == TREE.sub(TREE.pred(z), x)
+    assert len(calls) <= MAX_DEPTH ** 2
 
 
 def test_tree_text_to_decimal_takes_no_recursive_counter_step(monkeypatch):
