@@ -28,6 +28,9 @@ from .tree import TREE, dag_to_dot, fold_to_dag, parse_tree, print_tree
 FORMATS = ("dec", "tree", "bij")
 _FORMAT_REP: dict[str, NatRep] = {"dec": BIGNAT, "tree": TREE, "bij": BIJ}
 _LETTER_REP: dict[str, NatRep] = {"t": TREE, "b": BIJ, "n": BIGNAT}
+# encode's and decode's views: codecs' from_<view> and to_<view>, looked up
+# by name on each call, as _BITS's functions are
+_VIEWS = ("list", "mset", "set")
 
 DEFAULT_DEC_BITS_CAP = 10**6
 
@@ -68,24 +71,21 @@ def _check_cap(size, cap: int, what: str, unit: str, hint: str = "") -> None:
         raise DomainError(f"refusing {what}: more than {cap} {unit}{hint}")
 
 
-def _render_tree(dst: str, value) -> str:
-    # a tree rendered in format dst, expanded into digits only up to the cap
-    if dst != "tree":
-        _check_cap(TREE.bitsize(value), DEFAULT_DEC_BITS_CAP, f"{dst} expansion", "bits")
-        value = view(value, TREE, _FORMAT_REP[dst])
-    return _render_value(dst, value)
+def _render(dst: str, src: NatRep, value, cap: int = DEFAULT_DEC_BITS_CAP,
+            what: str = "", hint: str = "") -> str:
+    # a value of representation src rendered in format dst; a tree is
+    # expanded into digits only up to cap bits, checked on the tree.  The
+    # refusal names what, by default "<dst> expansion"
+    if src is TREE and dst != "tree":
+        _check_cap(TREE.bitsize(value), cap, what or f"{dst} expansion", "bits", hint)
+    return _render_value(dst, view(value, src, _FORMAT_REP[dst]))
 
 
 def convert_text(src: str, dst: str, text: str) -> str:
     """Parse ``text`` in format ``src`` and render it in format ``dst``;
     a tree is expanded into digits only up to :data:`DEFAULT_DEC_BITS_CAP`
     bits."""
-    value = _parse_value(src, text)
-    if src == "tree":
-        return _render_tree(dst, value)
-    if src != dst:
-        value = view(value, _FORMAT_REP[src], _FORMAT_REP[dst])
-    return _render_value(dst, value)
+    return _render(dst, _FORMAT_REP[src], _parse_value(src, text))
 
 
 def _cmd_convert(args) -> int:
@@ -93,36 +93,21 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-_SPECIAL_BUILDERS = {
-    "mersenne": lambda p: numtheory.mersenne(TREE, p),
-    "fermat": lambda p: numtheory.fermat(TREE, p),
-    "perfect": lambda p: numtheory.perfect(TREE, p),
-}
-
-
 def _cmd_special(args) -> int:
     _nonnegative(args.max_dec_bits, "--max-dec-bits", "bit count")
     p = _nonnegative(args.p, f"special {args.kind}", "p")
-    value = _SPECIAL_BUILDERS[args.kind](TREE.from_int(p))
-    out, hint = args.output, " (raise --max-dec-bits to override)"
-    if out == "tree":
-        print(print_tree(value))
-    elif out == "bitsize":  # a giant value's bitsize is a giant decimal too
-        size = TREE.bitsize(value)
-        _check_cap(TREE.bitsize(size), args.max_dec_bits, "decimal expansion", "bits", hint)
-        print(print_decimal(TREE.to_int(size)))
-    elif out == "nodes":
+    value = getattr(numtheory, args.kind)(TREE, TREE.from_int(p))
+    out = args.output
+    if out == "nodes":
         print(len(fold_to_dag(value).nodes))
     elif out == "dot":
         sys.stdout.write(dag_to_dot(fold_to_dag(value)))
-    else:  # dec
-        _check_cap(TREE.bitsize(value), args.max_dec_bits, "decimal expansion", "bits", hint)
-        print(print_decimal(TREE.to_int(value)))
+    else:
+        if out == "bitsize":  # a giant value's bitsize is a giant decimal too
+            value = TREE.bitsize(value)
+        print(_render("tree" if out == "tree" else "dec", TREE, value, args.max_dec_bits,
+                      "decimal expansion", " (raise --max-dec-bits to override)"))
     return 0
-
-
-_ENCODERS = {"list": codecs.from_list, "mset": codecs.from_mset, "set": codecs.from_set}
-_DECODERS = {"list": codecs.to_list, "mset": codecs.to_mset, "set": codecs.to_set}
 
 
 def _parse_elements(text: str) -> list[int]:
@@ -141,20 +126,17 @@ def _cmd_encode(args) -> int:
     # encoded on trees, where a large element costs a few nodes, and expanded
     # to dec or bij as convert expands a tree
     elements = [TREE.from_int(k) for k in _parse_elements(args.elements)]
-    print(_render_tree(args.rep, _ENCODERS[args.view](TREE, elements)))
+    print(_render(args.rep, TREE, getattr(codecs, "from_" + args.view)(TREE, elements)))
     return 0
 
 
 def _cmd_decode(args) -> int:
     rep = _FORMAT_REP[args.rep]
     value = _parse_value(args.rep, args.value)
-    if args.rep == "tree":
+    if rep is TREE:
         _check_cap(codecs.list_length(TREE, value), DEFAULT_DEC_BITS_CAP, "to decode", "entries")
-    elements = _DECODERS[args.view](rep, value)
-    if args.rep == "tree":
-        for v in elements:
-            _check_cap(TREE.bitsize(v), DEFAULT_DEC_BITS_CAP, "decimal expansion", "bits")
-    print(",".join(print_decimal(rep.to_int(v)) for v in elements))
+    elements = getattr(codecs, "to_" + args.view)(rep, value)
+    print(",".join(_render("dec", rep, v, what="decimal expansion") for v in elements))
     return 0
 
 
@@ -185,8 +167,7 @@ def _cmd_bits(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    value = _parse_value(args.format, args.value)
-    tree = value if args.format == "tree" else view(value, _FORMAT_REP[args.format], TREE)
+    tree = view(_parse_value(args.format, args.value), _FORMAT_REP[args.format], TREE)
     sys.stdout.write(dag_to_dot(fold_to_dag(tree)))
     return 0
 
@@ -242,14 +223,6 @@ def _bench_syr_compress_twice(rep: NatRep) -> str:
     return _digest_bitsize(rep, codecs.from_list(rep, seqs))
 
 
-def _bench_bitsize45_m(rep: NatRep) -> str:
-    return f"bitsize={TREE.to_int(TREE.bitsize(numtheory.mersenne45()))}"
-
-
-def _bench_bitsize45_p(rep: NatRep) -> str:
-    return f"bitsize={TREE.to_int(TREE.bitsize(numtheory.perfect45()))}"
-
-
 def _bench_div45(rep: NatRep) -> str:
     q, r = TREE.div_and_rem(numtheory.perfect45(), numtheory.mersenne45())
     return f"{_digest_bitsize(TREE, q)},zero-rem={TREE.is_e(r)}"
@@ -261,8 +234,8 @@ _BENCHES: list[tuple[str, Callable[[NatRep], str], bool]] = [
     ("ack-3-7", _bench_ack, False),
     ("exp2-exp2-14", _bench_exp2, False),
     ("sparse-set", _bench_sparse, False),
-    ("bitsize45:mersenne45", _bench_bitsize45_m, True),
-    ("bitsize45:perfect45", _bench_bitsize45_p, True),
+    ("bitsize45:mersenne45", lambda rep: _digest_bitsize(TREE, numtheory.mersenne45()), True),
+    ("bitsize45:perfect45", lambda rep: _digest_bitsize(TREE, numtheory.perfect45()), True),
     ("div45:perfect45-by-mersenne45", _bench_div45, True),
     ("primes-100", _bench_primes, False),
     ("mersenne-tests", _bench_mersenne, False),
@@ -341,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_convert)
 
     p = sub.add_parser("special", help="build a Mersenne, Fermat or perfect number")
-    p.add_argument("kind", choices=sorted(_SPECIAL_BUILDERS))
+    p.add_argument("kind", choices=("fermat", "mersenne", "perfect"))
     p.add_argument("p", type=int)
     p.add_argument("--output", choices=("dec", "tree", "bitsize", "dot", "nodes"), default="tree")
     p.add_argument("--max-dec-bits", type=int, default=DEFAULT_DEC_BITS_CAP,
@@ -349,13 +322,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_special)
 
     p = sub.add_parser("encode", help="encode a collection of naturals as one natural")
-    p.add_argument("view", choices=("list", "mset", "set"))
+    p.add_argument("view", choices=_VIEWS)
     p.add_argument("elements", help="comma-separated decimal elements (may be empty)")
     p.add_argument("--rep", choices=FORMATS, default="dec")
     p.set_defaults(fn=_cmd_encode)
 
     p = sub.add_parser("decode", help="decode a natural back into a collection")
-    p.add_argument("view", choices=("list", "mset", "set"))
+    p.add_argument("view", choices=_VIEWS)
     p.add_argument("value")
     p.add_argument("--rep", choices=FORMATS, default="dec")
     p.set_defaults(fn=_cmd_decode)

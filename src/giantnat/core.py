@@ -613,4 +613,4 @@ def runs_int(runs: list[tuple[bool, int]]) -> int:
 
 def view(x, src: NatRep, dst: NatRep):
     """Re-express a value of representation ``src`` in representation ``dst``, through its runs."""
-    return dst._from_runs(src._strip_runs(x))
+    return x if src is dst else dst._from_runs(src._strip_runs(x))

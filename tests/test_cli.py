@@ -329,6 +329,46 @@ def test_bits_fuzz_exits_with_the_answer_or_one_error_line(op, texts, rep):
         assert (code, out.getvalue(), err.getvalue()) == (0, f"{want}\n", "")
 
 
+# texts of the three formats, valid ones mixed in; at most 16 characters,
+# so no tree text names a list of millions of entries to decode
+_TEXT = st.one_of(
+    st.text(alphabet="0123456789oieTVW[]()-, ", max_size=16),
+    st.integers(0, 500).flatmap(lambda k: st.sampled_from(
+        [s for s in (convert_text("dec", f, str(k)) for f in ("dec", "tree", "bij")) if len(s) <= 16])))
+_FORMAT = st.sampled_from(["dec", "tree", "bij", "hex", ""])
+_VIEW = st.sampled_from(["list", "mset", "set", "bag"])
+_INT = st.one_of(st.integers(-3, 5000).map(str), _TEXT)
+
+
+def _option(name, values):
+    return st.one_of(st.just(()), st.tuples(st.just(name), values))
+
+
+_FORMAT_ARGV = st.one_of(
+    st.tuples(st.just(("convert",)), st.tuples(_FORMAT, _FORMAT, _TEXT)),
+    st.tuples(st.just(("encode",)), st.tuples(_VIEW, _TEXT), _option("--rep", _FORMAT)),
+    st.tuples(st.just(("decode",)), st.tuples(_VIEW, _TEXT), _option("--rep", _FORMAT)),
+    st.tuples(st.just(("dot",)), st.tuples(_TEXT), _option("--format", _FORMAT)),
+    st.tuples(st.just(("special",)), st.tuples(st.sampled_from(["fermat", "mersenne", "perfect", "prime"]), _INT),
+              _option("--output", st.sampled_from(["dec", "tree", "bitsize", "dot", "nodes", "hex"])),
+              _option("--max-dec-bits", _INT)),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@given(_FORMAT_ARGV)
+@settings(max_examples=400, deadline=None)
+def test_format_commands_fuzz_exit_with_output_or_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert "Traceback" not in err.getvalue()
+
+
 def test_dot_from_decimal(capsys):
     code, out, _ = run(capsys, "dot", "42", "--format", "dec")
     assert code == 0

@@ -15,6 +15,7 @@ import giantnat
 from giantnat import BIGNAT, BIJ, TREE, DomainError, EQ, GT, LT, NatRep, view
 from giantnat.bignat import oracle_add, oracle_bitsize, oracle_cmp, oracle_sub
 from giantnat.core import _ONE_RUN, int_runs, runs_int
+from giantnat.numtheory import mersenne45
 
 SMALL = 130
 _HREPS = (BIGNAT, BIJ, TREE)
@@ -519,9 +520,14 @@ def test_view_between_representations():
         for dst in reps:
             assert view(src.e, src, dst) == dst.e
             for k in (1, 2, 41, 42, 255, 256, 12345, _LARGE["random100000"]):
-                assert view(src.from_int(k), src, dst) == dst.from_int(k)
+                x = src.from_int(k)
+                assert view(x, src, dst) == dst.from_int(k)
+                assert src is not dst or view(x, src, dst) is x
     t42 = TREE.from_int(42)
     assert view(t42, TREE, BIGNAT) == 42
+    # a tree handed back as it is, never expanded: a giant or a tower
+    for x in (mersenne45(), TREE.exp2(TREE.exp2(TREE.from_int(2**70)))):
+        assert view(x, TREE, TREE) is x
 
 
 def test_view_round_trip(rep):

@@ -43,7 +43,7 @@ def test_readme_cli_lines():
         elif expected is not None:
             assert out.getvalue() == expected + "\n", command
             checked += 1
-    assert checked == 11
+    assert checked == 12
 
 
 def test_readme_quick_start():

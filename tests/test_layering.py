@@ -281,3 +281,22 @@ def test_only_the_table_decides_which_counters_carry_a_value():
     assert [target.id for stmt in bound for target in stmt.targets] == ["_MAX_RUN_DIGITS"]
     counter = next(node for node in module.body if getattr(node, "name", None) == "_counter")
     assert _word_edge_reads(module) == _word_edge_reads(counter) + _word_edge_reads(bound[0])
+
+
+def test_cli_prints_formats_through_one_capped_door():
+    # every value the CLI writes in a format leaves through _render, which
+    # alone checks a tree's bitsize against the cap before expanding it
+    callers = {"_render_value": set(), "_check_cap": set()}
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                named = child.func.id
+                sized = any(isinstance(n, ast.Attribute) and n.attr == "bitsize"
+                            for a in child.args for n in ast.walk(a))
+                if named == "_render_value" or (named == "_check_cap" and sized):
+                    callers[named].add(fn)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else fn)
+
+    visit(ast.parse((PACKAGE / "cli.py").read_text()), None)
+    assert callers == {"_render_value": {"_render"}, "_check_cap": {"_render"}}
